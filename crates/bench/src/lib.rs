@@ -7,7 +7,7 @@
 //! experiments binary is the full-scale regenerator.
 
 use hsp_core::{run_basic, AttackConfig, Discovery};
-use hsp_crawler::Crawler;
+use hsp_crawler::ParallelCrawler;
 use hsp_http::{DirectExchange, Handler};
 use hsp_platform::{Platform, PlatformConfig};
 use hsp_policy::{FacebookPolicy, Policy};
@@ -45,13 +45,13 @@ impl BenchWorld {
     }
 
     /// A fresh logged-in crawler with `n` accounts (uncached).
-    pub fn crawler(&self, n: usize, label: &str) -> Crawler<DirectExchange> {
+    pub fn crawler(&self, n: usize, label: &str) -> ParallelCrawler<DirectExchange> {
         let exchanges = (0..n).map(|_| DirectExchange::new(self.handler.clone())).collect();
-        Crawler::new(exchanges, label).expect("bench crawler")
+        ParallelCrawler::new(exchanges, label).expect("bench crawler")
     }
 
     /// A completed basic discovery (fresh crawl).
-    pub fn discovery(&self) -> (Crawler<DirectExchange>, Discovery) {
+    pub fn discovery(&self) -> (ParallelCrawler<DirectExchange>, Discovery) {
         let mut crawler = self.crawler(2, "bench");
         let discovery = run_basic(&mut crawler, &self.config).expect("bench discovery");
         (crawler, discovery)

@@ -13,10 +13,10 @@ pub fn collect_core(
     config: &AttackConfig,
 ) -> Result<CoreCollection, CrawlError> {
     let seeds = access.collect_seeds(config.school)?;
-    // Two passes, each preceded by a batch hint: parallel accessors
-    // fetch the whole batch concurrently, sequential ones no-op and
-    // fetch lazily below — either way the per-user decisions (and thus
-    // the results) are identical.
+    // Two passes, each preceded by a batch hint: the crawler fetches
+    // the whole batch at once (sharded over its accounts), offline
+    // accessors no-op and answer lazily below — either way the per-user
+    // decisions (and thus the results) are identical.
     access.prefetch_profiles(&seeds)?;
     let mut claiming = Vec::new();
     let mut with_year = Vec::new();

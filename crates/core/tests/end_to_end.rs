@@ -8,19 +8,23 @@ use hsp_core::{
     evaluate, recover_friend_lists, run_basic, run_coppaless_heuristic, run_enhanced,
     score_minimal_set, AttackConfig, CoppalessOptions, EnhanceOptions, GroundTruth,
 };
-use hsp_crawler::{Crawler, OsnAccess};
+use hsp_crawler::{OsnAccess, ParallelCrawler};
 use hsp_http::DirectExchange;
 use hsp_platform::{Platform, PlatformConfig};
 use hsp_policy::{FacebookPolicy, Policy};
 use hsp_synth::{generate, Scenario, ScenarioConfig};
 use std::sync::Arc;
 
-fn build(scenario: &Scenario, policy: Arc<dyn Policy>, accounts: usize) -> Crawler<DirectExchange> {
+fn build(
+    scenario: &Scenario,
+    policy: Arc<dyn Policy>,
+    accounts: usize,
+) -> ParallelCrawler<DirectExchange> {
     let platform =
         Platform::new(Arc::new(scenario.network.clone()), policy, PlatformConfig::default());
     let handler = platform.into_handler();
     let exchanges = (0..accounts).map(|_| DirectExchange::new(handler.clone())).collect();
-    Crawler::new(exchanges, "e2e").unwrap()
+    ParallelCrawler::new(exchanges, "e2e").unwrap()
 }
 
 fn attack_config(scenario: &Scenario) -> AttackConfig {

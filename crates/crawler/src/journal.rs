@@ -171,11 +171,35 @@ impl KillPlan {
     }
 }
 
-/// Snapshot of one circuit breaker (mirrors `driver::Breaker`).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// One account's circuit breaker for one endpoint: consecutive
+/// failures and whether it is open. An open breaker pays its cooldown
+/// in virtual time and goes half-open; the next request is the probe.
+/// Only the thread driving the account touches it, so the live breaker
+/// and its journaled form are the same plain data.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct BreakerState {
     pub consecutive: u32,
     pub open: bool,
+}
+
+impl BreakerState {
+    /// Record one failure; `true` when this failure *opened* the
+    /// breaker (the caller pays the cooldown and counts the transition).
+    pub(crate) fn record_failure(&mut self, threshold: u32) -> bool {
+        self.consecutive += 1;
+        if self.consecutive < threshold {
+            return false;
+        }
+        self.consecutive = 0;
+        self.open = true;
+        true
+    }
+
+    /// Record one success; `true` when it closed an open breaker.
+    pub(crate) fn record_success(&mut self) -> bool {
+        self.consecutive = 0;
+        std::mem::take(&mut self.open)
+    }
 }
 
 /// Serializable transport state (mirrors `hsp_http::TransportState`,
@@ -277,6 +301,36 @@ pub struct LaneState {
     /// Next trace ordinal on this lane.
     pub trace_ordinal: u64,
     pub transport: TransportJournalState,
+    /// Omitted at its default, so a naive crawl's journal carries no
+    /// pacing bytes.
+    #[serde(default, skip_serializing_if = "PacingState::is_default")]
+    pub pacing: PacingState,
+}
+
+/// One account's pacing position: the adaptive strategy's cursors and
+/// the pushback widening state. Live on the account and journaled as
+/// is, so an adaptive or widened crawl resumes bit-identically. A naive
+/// crawl the platform never pushed back on stays at the default.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct PacingState {
+    /// Politeness draws taken from the adaptive jitter stream (also the
+    /// warm-up counter).
+    pub draws: u64,
+    /// Profiles fetched so far (the decoy cadence counter).
+    pub profiles: u64,
+    /// The profile the next decoy revisits: the first one fetched in
+    /// the current decoy window.
+    pub revisit: Option<UserId>,
+    /// Pushback multiplier on the politeness sleep (0 reads as 1).
+    pub widen_factor: u64,
+    /// Clean fetches since the last widening or narrowing step.
+    pub calm_streak: u32,
+}
+
+impl PacingState {
+    pub fn is_default(&self) -> bool {
+        *self == PacingState::default()
+    }
 }
 
 /// Scheduler-level resume state at a commit boundary.
@@ -961,6 +1015,26 @@ mod tests {
             }
         }
         journal
+    }
+
+    #[test]
+    fn default_pacing_is_not_journaled() {
+        let naive = LaneState { index: 3, ..Default::default() };
+        let text = serde_json::to_string(&naive).unwrap();
+        assert!(!text.contains("pacing"), "naive lanes keep their journal bytes: {text}");
+        let back: LaneState = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, naive);
+        let pacing = PacingState {
+            draws: 9,
+            profiles: 4,
+            revisit: Some(UserId(2)),
+            widen_factor: 4,
+            calm_streak: 1,
+        };
+        let adaptive = LaneState { pacing, ..naive };
+        let back: LaneState =
+            serde_json::from_str(&serde_json::to_string(&adaptive).unwrap()).unwrap();
+        assert_eq!(back.pacing, pacing);
     }
 
     #[test]

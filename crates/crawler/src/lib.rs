@@ -8,13 +8,13 @@
 //! analysis ([`effort`]), and pacing requests with a (virtual)
 //! politeness clock (§3.2).
 //!
-//! [`Crawler`] is generic over the HTTP transport: identical attack
-//! code runs over loopback TCP or in-process.
-//!
-//! [`scheduler::ParallelCrawler`] runs the same attack with the
-//! sock-puppet fleet actually concurrent — one worker lane per
-//! account, deterministic by construction (results are bit-identical
-//! at any worker count).
+//! There is one crawl engine, [`ParallelCrawler`]: one seat per fake
+//! account, each with its own exchange, virtual clock and pacing, and
+//! a deterministic scheduler that shards work over the seats (results
+//! are bit-identical at any worker count; the paper's crawl is
+//! `workers = 1`). It is generic over the HTTP transport, so identical
+//! attack code runs over loopback TCP or in-process, and it journals
+//! its state for crash-only resume ([`journal`]).
 
 pub mod driver;
 pub mod effort;
@@ -23,14 +23,12 @@ pub mod scheduler;
 pub mod scrape;
 pub mod snapshot;
 
-pub use driver::{
-    AdaptiveStrategy, BreakerConfig, CrawlError, Crawler, CrawlerBuilder, OsnAccess, Politeness,
-};
+pub use driver::{AdaptiveStrategy, CrawlError, OsnAccess, Politeness};
 pub use effort::Effort;
 pub use journal::{
     fold_state, recover, recover_bytes, recover_instrumented, Journal, JournalError,
-    JournalMetrics, JournalRecord, KillPlan, LaneState, RecoveredLog, ResumeState, SchedState,
-    LANE_RECOVERY,
+    JournalMetrics, JournalRecord, KillPlan, LaneState, PacingState, RecoveredLog, ResumeState,
+    SchedState, LANE_RECOVERY,
 };
 pub use scheduler::{AccountSeat, ParallelCrawler, ParallelCrawlerBuilder};
 pub use scrape::{parse_listing, parse_profile, ScrapedEduKind, ScrapedEducation, ScrapedProfile};

@@ -1,27 +1,35 @@
-//! Deterministic parallel crawl scheduler: the paper's sock-puppet
-//! fleet, actually running concurrently.
+//! The crawl engine: the paper's sock-puppet fleet, one seat per fake
+//! account, driven by a deterministic work-stealing scheduler. The
+//! paper's own crawl is this engine at `workers = 1`.
 //!
 //! Each fake account owns a worker seat with its own keep-alive
 //! exchange (typically a [`hsp_http::ResilientExchange`]), its own
-//! politeness/rate budget on its own virtual clock, and its own
-//! per-endpoint circuit breakers. Work arrives in batches (profile
+//! politeness/rate budget on its own virtual clock, its own pacing
+//! state (pushback widening, the adaptive strategy's cursors) and its
+//! own per-endpoint circuit breakers. Work arrives in batches (profile
 //! prefetches, friend-list prefetches, per-account seed sweeps); the
 //! scheduler shards every batch over the *live accounts* — item `i` in
 //! canonical order goes to live account `i mod L` — and OS threads
 //! steal whole account-queues from an atomic cursor. Worker count
 //! therefore only decides which thread happens to drive an account; it
 //! never changes any account's ordered request sequence, which is the
-//! unit the platform's fault engine keys its streams on. Results are
-//! committed to the caches in canonical (UserId-sorted) order after
-//! the batch joins, so Table 3/Table 4 outputs and [`CrawlSnapshot`]
-//! checkpoints are **bit-identical at any worker count** — including
-//! under `FaultPlan::chaos()`.
+//! unit the platform's fault engine, sybil detector and mutation engine
+//! key their streams on. Results are committed to the caches in
+//! canonical (UserId-sorted) order after the batch joins, so Table
+//! 3/Table 4 outputs and [`CrawlSnapshot`] checkpoints are
+//! **bit-identical at any worker count** — including under
+//! `FaultPlan::chaos()`.
 //!
-//! Failover matches the sequential [`crate::Crawler`]: a suspension
-//! drops the account's unfinished queue items into a leftover pool,
-//! the fleet doubles via (strictly serial) recruitment after the batch
-//! joins — account indices on the platform are assigned by arrival
-//! order — and the leftovers are redistributed over the survivors.
+//! Every request carries its seat's clock in `x-virtual-now-ms`: that
+//! stamp is the one timeline of the crawl. The platform serves a live
+//! world as of it, and the sybil detector times each session's gaps on
+//! it, so an account's treatment depends only on its own requests.
+//!
+//! Failover: a suspension drops the account's unfinished queue items
+//! into a leftover pool, the fleet doubles via (strictly serial)
+//! recruitment after the batch joins — account indices on the platform
+//! are assigned by arrival order — and the leftovers are redistributed
+//! over the survivors.
 //!
 //! Because politeness is virtual time, "how long would this crawl
 //! take" is modeled rather than slept: each batch contributes the
@@ -31,22 +39,23 @@
 //! attack's virtual wall-clock.
 
 use crate::driver::{
-    html_complete, record_root_span, trace_lane, Breaker, BreakerConfig, CrawlError,
-    CrawlerMetrics, OsnAccess, Politeness, EP_AUTH, EP_CIRCLES, EP_FRIENDS, EP_MESSAGE, EP_PROFILE,
-    EP_SEEDS,
+    auth_post, html_complete, record_root_span, trace_lane, AdaptiveStrategy, CrawlError,
+    CrawlerMetrics, OsnAccess, Politeness, BREAKER_COOLDOWN_MS, BREAKER_FAILURE_THRESHOLD, EP_AUTH,
+    EP_CIRCLES, EP_DECOY, EP_FRIENDS, EP_MESSAGE, EP_PROFILE, EP_SEEDS,
 };
 use crate::effort::Effort;
 use crate::journal::{
-    BreakerState, CirclesEntry, Journal, JournalError, JournalRecord, LaneState, ResumeState,
-    RetryStatsState, SchedState, TransportJournalState,
+    BreakerState, CirclesEntry, Journal, JournalError, JournalRecord, LaneState, PacingState,
+    ResumeState, RetryStatsState, SchedState, TransportJournalState,
 };
 use crate::scrape::{parse_listing, parse_listing_stamped, parse_profile, ScrapedProfile};
 use crate::snapshot::CrawlSnapshot;
 use hsp_graph::{SchoolId, UserId};
 use hsp_http::resilient::{
-    captcha_delay_ms, RetryStats, H_ACCOUNT_SUSPENDED, H_TRACE_ID, H_VIRTUAL_NOW,
+    captcha_delay_ms, is_shed, retryable_transport_error, RetryStats, H_ACCOUNT_SUSPENDED,
+    H_TRACE_ID, H_VIRTUAL_NOW,
 };
-use hsp_http::{Exchange, HttpError, Request, Status};
+use hsp_http::{Exchange, HttpError, Request, Response, Status};
 use hsp_obs::trace::TRACE_SEED;
 use hsp_obs::{FlightRecorder, Gauge, Histogram, Registry, TraceCtx, VirtualClock};
 use std::collections::{BTreeSet, HashMap};
@@ -95,7 +104,7 @@ enum JobOutcome {
 }
 
 enum FetchOut {
-    Page(hsp_http::Response),
+    Page(Response),
     Suspended,
     Fatal(CrawlError),
 }
@@ -103,12 +112,15 @@ enum FetchOut {
 /// Read-only knobs shared by every worker thread.
 struct Shared {
     politeness: Politeness,
-    breaker: BreakerConfig,
-    /// Per-job attempt budget (mirrors the sequential fetch loop).
+    /// Detector-evasion maneuvers; `None` = the naive crawler.
+    adaptive: Option<AdaptiveStrategy>,
+    /// Per-job attempt budget.
     budget: usize,
     metrics: Option<Arc<CrawlerMetrics>>,
     /// Flight recorder shared with the registry (trace propagation).
     tracer: Option<Arc<FlightRecorder>>,
+    /// Transport retry counters shared with the seats' exchanges.
+    retry_stats: Option<Arc<RetryStats>>,
 }
 
 /// Scheduler-level telemetry (on top of the shared [`CrawlerMetrics`]).
@@ -131,9 +143,9 @@ impl SchedMetrics {
 }
 
 /// One sock-puppet account: exchange, session, effort ledger, private
-/// virtual timeline, and per-endpoint breakers. Only one thread drives
-/// an account at a time (queues are stolen whole), so the interior is
-/// plain data behind the scheduler's `Mutex`.
+/// virtual timeline, pacing state and per-endpoint breakers. Only one
+/// thread drives an account at a time (queues are stolen whole), so
+/// the interior is plain data behind the scheduler's `Mutex`.
 struct AccountWorker<E: Exchange> {
     exchange: E,
     username: String,
@@ -143,15 +155,38 @@ struct AccountWorker<E: Exchange> {
     /// Fallback timeline when no clock was supplied.
     local_ms: u64,
     clock: Option<Arc<VirtualClock>>,
-    breakers: HashMap<&'static str, Breaker>,
+    breakers: HashMap<&'static str, BreakerState>,
     /// Trace lane ([`trace_lane`] of the username) and the next request
     /// ordinal on it. Only this worker's thread touches the ordinal, so
-    /// per-lane trace ids are deterministic at any worker count.
+    /// per-lane trace ids are deterministic at any worker count. The
+    /// lane also keys the adaptive strategy's jitter stream.
     lane: u64,
     trace_ordinal: u64,
+    pacing: PacingState,
+    /// Application-level auth-POST retries (signup/login resent after a
+    /// transport failure). Not journaled: the soak reconciles it
+    /// against the chaos layer's POST-redelivery watchdog in-process.
+    auth_retries: u64,
 }
 
 impl<E: Exchange> AccountWorker<E> {
+    fn new(exchange: E, clock: Option<Arc<VirtualClock>>, username: String) -> Self {
+        AccountWorker {
+            exchange,
+            lane: trace_lane(&username),
+            username,
+            password: "hunter2".to_string(),
+            suspended: false,
+            effort: Effort::default(),
+            local_ms: 0,
+            clock,
+            breakers: HashMap::new(),
+            trace_ordinal: 0,
+            pacing: PacingState::default(),
+            auth_retries: 0,
+        }
+    }
+
     fn now_ms(&self) -> u64 {
         match &self.clock {
             Some(clock) => clock.now_ms(),
@@ -178,6 +213,9 @@ impl<E: Exchange> AccountWorker<E> {
         Some((Arc::clone(tracer), ctx))
     }
 
+    /// Count one issued request against the endpoint's effort bucket
+    /// and metric. Re-fetches (truncation, failover) count again —
+    /// that's the point: Table 3 stays honest under faults.
     fn count_request(&mut self, endpoint: &'static str, shared: &Shared) {
         match endpoint {
             EP_AUTH => self.effort.auth_requests += 1,
@@ -185,6 +223,7 @@ impl<E: Exchange> AccountWorker<E> {
             EP_PROFILE => self.effort.profile_requests += 1,
             EP_FRIENDS | EP_CIRCLES => self.effort.friend_list_requests += 1,
             EP_MESSAGE => self.effort.message_requests += 1,
+            EP_DECOY => self.effort.decoy_requests += 1,
             _ => {}
         }
         if let Some(m) = &shared.metrics {
@@ -194,11 +233,52 @@ impl<E: Exchange> AccountWorker<E> {
         }
     }
 
+    /// Sleep before this account's next request. The naive crawler
+    /// sleeps a metronomic `base × widen_factor`; the adaptive one
+    /// jitters the sleep from the account's own draw counter and
+    /// multiplies it during the account's warm-up.
     fn advance_politeness(&mut self, shared: &Shared) {
-        let ms = shared.politeness.sleep_ms_between_requests;
+        let base = shared.politeness.sleep_ms_between_requests * self.pacing.widen_factor.max(1);
+        let ms = match shared.adaptive {
+            None => base,
+            Some(s) => {
+                let n = self.pacing.draws;
+                self.pacing.draws += 1;
+                let warmup = if n < s.warmup_requests { s.warmup_factor.max(1) } else { 1 };
+                (base * s.jitter_pm(self.lane, n) / 1_000 * warmup).max(1)
+            }
+        };
         self.advance_ms(ms);
         if let Some(m) = &shared.metrics {
             m.politeness_virtual_ms.add(ms);
+        }
+    }
+
+    /// The platform pushed back (shed 503 or 429): double this
+    /// account's spacing, capped, the way the paper's crawlers slowed
+    /// down to stay under the radar.
+    fn widen_pacing(&mut self, shared: &Shared) {
+        self.pacing.calm_streak = 0;
+        let cap = shared.politeness.max_widen_factor.max(1);
+        let factor = self.pacing.widen_factor.max(1);
+        if factor < cap {
+            self.pacing.widen_factor = (factor * 2).min(cap);
+            if let Some(m) = &shared.metrics {
+                m.politeness_widened.inc();
+            }
+        }
+    }
+
+    /// A clean fetch: after enough calm in a row, narrow one step back
+    /// toward the base rate.
+    fn note_fetch_success(&mut self, shared: &Shared) {
+        if self.pacing.widen_factor <= 1 {
+            return;
+        }
+        self.pacing.calm_streak += 1;
+        if self.pacing.calm_streak >= shared.politeness.narrow_after_successes {
+            self.pacing.calm_streak = 0;
+            self.pacing.widen_factor /= 2;
         }
     }
 
@@ -212,18 +292,15 @@ impl<E: Exchange> AccountWorker<E> {
     }
 
     fn breaker_failure(&mut self, endpoint: &'static str, shared: &Shared) {
-        let opened = self
-            .breakers
-            .entry(endpoint)
-            .or_default()
-            .record_failure(shared.breaker.failure_threshold);
+        let opened =
+            self.breakers.entry(endpoint).or_default().record_failure(BREAKER_FAILURE_THRESHOLD);
         if opened {
             if let Some(m) = &shared.metrics {
                 if let Some(c) = m.breaker_open.get(endpoint) {
                     c.inc();
                 }
             }
-            self.advance_ms(shared.breaker.cooldown_ms);
+            self.advance_ms(BREAKER_COOLDOWN_MS);
         }
     }
 
@@ -249,8 +326,8 @@ impl<E: Exchange> AccountWorker<E> {
 
     /// Pay any `x-captcha` interstitial the sybil detector attached to
     /// this page: the "solve time" lands on this account's timeline and
-    /// on its effort ledger, exactly like the sequential crawler's.
-    fn absorb_captcha(&mut self, resp: &hsp_http::Response, shared: &Shared) {
+    /// on its effort ledger.
+    fn absorb_captcha(&mut self, resp: &Response, shared: &Shared) {
         let Some(ms) = captcha_delay_ms(resp) else { return };
         self.effort.captcha_challenges += 1;
         self.effort.captcha_virtual_ms += ms;
@@ -261,29 +338,61 @@ impl<E: Exchange> AccountWorker<E> {
         }
     }
 
-    fn relogin(&mut self, shared: &Shared) -> Result<(), CrawlError> {
-        let (username, password) = (self.username.clone(), self.password.clone());
+    /// POST this account's credentials to `/signup` or `/login`,
+    /// resending after transport errors (see [`auth_post`]). Every
+    /// attempt is billed as auth effort; the resends are also tallied
+    /// as intentional auth retries.
+    fn auth(&mut self, path: &str, shared: &Shared) -> Result<Response, CrawlError> {
+        let mut req =
+            Request::post_form(path, &[("user", &self.username), ("pass", &self.password)]);
         let trace = self.next_trace_ctx(shared);
-        let mut req = Request::post_form("/login", &[("user", &username), ("pass", &password)]);
         if let Some((_, ctx)) = &trace {
             req = req.header(H_TRACE_ID, ctx.header_value());
         }
         let begin_ms = self.now_ms();
-        let result = self.exchange.exchange(req);
+        let result = auth_post(&mut self.exchange, &req);
         if let Some((tracer, ctx)) = &trace {
-            record_root_span(tracer, ctx, EP_AUTH, begin_ms, self.now_ms(), result.as_ref().ok());
+            let resp = result.as_ref().ok().map(|(resp, _)| resp);
+            record_root_span(tracer, ctx, EP_AUTH, begin_ms, self.now_ms(), resp);
         }
-        let resp = result?;
-        self.count_request(EP_AUTH, shared);
+        let (resp, retries) = result?;
+        for _ in 0..=retries {
+            self.count_request(EP_AUTH, shared);
+        }
+        if retries > 0 {
+            self.auth_retries += retries;
+            if let Some(m) = &shared.metrics {
+                m.auth_retries.add(retries);
+            }
+        }
+        Ok(resp)
+    }
+
+    /// Sign up (tolerating "already registered" — also what a signup
+    /// whose response was lost to transport chaos answers on resend)
+    /// and log in.
+    fn enroll(&mut self, shared: &Shared) -> Result<(), CrawlError> {
+        let resp = self.auth("/signup", shared)?;
+        if !resp.status.is_success() && resp.status != Status::BAD_REQUEST {
+            return Err(CrawlError::Denied(resp.status));
+        }
+        self.relogin(shared)
+    }
+
+    fn relogin(&mut self, shared: &Shared) -> Result<(), CrawlError> {
+        let resp = self.auth("/login", shared)?;
         if !resp.status.is_success() {
             return Err(CrawlError::Denied(resp.status));
         }
         Ok(())
     }
 
-    /// The per-account resilient fetch loop — same survival rules as
-    /// the sequential crawler's, minus rotation (failover is the
-    /// scheduler's job, at queue granularity).
+    /// GET `path` on this account, surviving what the transport-level
+    /// retry layer couldn't fix: truncated pages (re-fetch), lost
+    /// sessions (re-login), transport failures and persistent endpoint
+    /// failure (circuit breaker cooldowns), and pushback (wider
+    /// pacing). Suspension ends the account; failover is the
+    /// scheduler's job, at queue granularity.
     fn fetch(&mut self, endpoint: &'static str, path: &str, shared: &Shared) -> FetchOut {
         let mut relogins = 0u32;
         let mut truncations = 0u32;
@@ -295,13 +404,14 @@ impl<E: Exchange> AccountWorker<E> {
             self.advance_politeness(shared);
             let trace = self.next_trace_ctx(shared);
             let begin_ms = self.now_ms();
-            // Request-carried virtual time: in parallel mode only the
-            // seat clocks advance, so this stamp is the one timeline a
-            // mutating platform can serve deterministically.
+            // Request-carried virtual time: the seat clocks are the
+            // crawl's only timeline, so this stamp is what a mutating
+            // platform serves and the detector times deterministically.
             let mut req = Request::get(path).header(H_VIRTUAL_NOW, begin_ms.to_string());
             if let Some((_, ctx)) = &trace {
                 req = req.header(H_TRACE_ID, ctx.header_value());
             }
+            let sheds_before = shared.retry_stats.as_ref().map(|s| s.sheds());
             let result = self.exchange.exchange(req);
             if let Some((tracer, ctx)) = &trace {
                 record_root_span(
@@ -314,14 +424,28 @@ impl<E: Exchange> AccountWorker<E> {
                 );
             }
             self.count_request(endpoint, shared);
+            // Sheds the retry layer absorbed during this call: the
+            // server asked for wider spacing even if the page landed.
+            if shared.retry_stats.as_ref().map(|s| s.sheds()) > sheds_before {
+                self.widen_pacing(shared);
+            }
             let resp = match result {
                 Ok(resp) => resp,
-                Err(HttpError::DeadlineExceeded) => {
+                // A deadline, or a transport failure that outlived the
+                // retry layer's budget (sustained chaos): breaker
+                // accounting, then try again rather than sinking the
+                // crawl.
+                Err(e)
+                    if matches!(e, HttpError::DeadlineExceeded)
+                        || retryable_transport_error(&e) =>
+                {
                     self.breaker_failure(endpoint, shared);
                     continue;
                 }
                 Err(e) => return FetchOut::Fatal(e.into()),
             };
+            // A flagged session pays its CAPTCHA interstitial on every
+            // served page — including degraded ones.
             self.absorb_captcha(&resp, shared);
             if resp.status.is_success() {
                 if !html_complete(&resp) {
@@ -333,13 +457,17 @@ impl<E: Exchange> AccountWorker<E> {
                     continue;
                 }
                 self.breaker_success(endpoint, shared);
+                self.note_fetch_success(shared);
                 return FetchOut::Page(resp);
             }
             match resp.status {
+                // Policy denial, not a fault: callers interpret 403.
                 Status::FORBIDDEN => {
                     self.breaker_success(endpoint, shared);
                     return FetchOut::Page(resp);
                 }
+                // Session lost (fault-injected expiry or eviction): log
+                // back in on the same account and re-issue.
                 Status::UNAUTHORIZED => {
                     relogins += 1;
                     if relogins > 2 {
@@ -353,13 +481,45 @@ impl<E: Exchange> AccountWorker<E> {
                     self.mark_suspended(shared);
                     return FetchOut::Suspended;
                 }
+                // A retryable status that outlived the retry budget
+                // (sustained 429/5xx): breaker accounting, then try
+                // again. Server pushback (a shed or a 429, as opposed
+                // to an injected fault 5xx) also widens the pacing.
                 s => {
                     last_denied = s;
+                    if is_shed(&resp) || s == Status::TOO_MANY_REQUESTS {
+                        self.widen_pacing(shared);
+                    }
                     self.breaker_failure(endpoint, shared);
                 }
             }
         }
         FetchOut::Fatal(CrawlError::Denied(last_denied))
+    }
+
+    /// Traffic mimicry (adaptive crawls): after every `decoy_every`
+    /// profiles this account fetched, re-fetch the first live profile
+    /// of that window, so the session's traversal fan-out looks human
+    /// (people revisit their friends). The schedule is a pure function
+    /// of the account's own queue. A failed decoy is simply dropped —
+    /// mimicry is cover traffic, never load-bearing.
+    fn maybe_issue_decoy(&mut self, uid: UserId, tombstoned: bool, shared: &Shared) {
+        let Some(s) = shared.adaptive else { return };
+        if s.decoy_every == 0 {
+            return;
+        }
+        if !tombstoned && self.pacing.revisit.is_none() {
+            self.pacing.revisit = Some(uid);
+        }
+        self.pacing.profiles += 1;
+        if !self.pacing.profiles.is_multiple_of(s.decoy_every) {
+            return;
+        }
+        let Some(target) = self.pacing.revisit.take() else { return };
+        if let Some(m) = &shared.metrics {
+            m.adapt_decoys.inc();
+        }
+        let _ = self.fetch(EP_DECOY, &format!("/profile/{target}"), shared);
     }
 
     fn run(&mut self, job: Job, shared: &Shared) -> JobOutcome {
@@ -377,9 +537,8 @@ impl<E: Exchange> AccountWorker<E> {
         loop {
             let resp = match self.fetch(EP_SEEDS, &url, shared) {
                 FetchOut::Page(resp) => resp,
-                // Seeds are pinned to this account's own sample; like
-                // the sequential crawler, losing the account mid-sweep
-                // sinks the seed phase.
+                // Seeds are pinned to this account's own sample, so
+                // losing the account mid-sweep sinks the seed phase.
                 FetchOut::Suspended => {
                     return JobOutcome::Fatal(CrawlError::Denied(Status::TOO_MANY_REQUESTS))
                 }
@@ -410,6 +569,7 @@ impl<E: Exchange> AccountWorker<E> {
         if profile.uid != Some(uid) {
             return JobOutcome::Fatal(CrawlError::BadPage("profile uid mismatch"));
         }
+        self.maybe_issue_decoy(uid, profile.tombstoned, shared);
         JobOutcome::Done(JobOut::Profile(profile))
     }
 
@@ -528,13 +688,14 @@ fn effort_requests(e: &Effort) -> u64 {
         + e.profile_requests
         + e.friend_list_requests
         + e.message_requests
+        + e.decoy_requests
 }
 
 /// Staged construction for a [`ParallelCrawler`].
 pub struct ParallelCrawlerBuilder<E: Exchange + Send> {
     label: String,
     politeness: Politeness,
-    breaker: BreakerConfig,
+    adaptive: Option<AdaptiveStrategy>,
     workers: usize,
     max_accounts: usize,
     obs: Option<(Arc<CrawlerMetrics>, SchedMetrics)>,
@@ -549,7 +710,7 @@ impl<E: Exchange + Send> ParallelCrawlerBuilder<E> {
         ParallelCrawlerBuilder {
             label: label.to_string(),
             politeness: Politeness::default(),
-            breaker: BreakerConfig::default(),
+            adaptive: None,
             workers: 1,
             max_accounts: 8,
             obs: None,
@@ -572,13 +733,16 @@ impl<E: Exchange + Send> ParallelCrawlerBuilder<E> {
         self
     }
 
-    pub fn breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
+    /// Enable detector-evasion maneuvers on every account (jittered
+    /// pacing, warm-up, decoy mimicry). See [`AdaptiveStrategy`].
+    pub fn adaptive(mut self, strategy: AdaptiveStrategy) -> Self {
+        self.adaptive = Some(strategy);
         self
     }
 
-    /// Record attacker-side telemetry (the same `crawler_*` metrics the
-    /// sequential crawler emits, plus scheduler batch/throughput ones).
+    /// Record attacker-side telemetry (`crawler_*` fetch, cache, pacing,
+    /// breaker and failover metrics, plus scheduler batch/throughput
+    /// ones).
     /// Also picks up the registry's flight recorder: when tracing is
     /// enabled there, every issued request carries an `x-trace-id` and
     /// records its crawl-side root span.
@@ -590,7 +754,9 @@ impl<E: Exchange + Send> ParallelCrawlerBuilder<E> {
     }
 
     /// Fold transport-layer retries (from `ResilientExchange`s sharing
-    /// this stats handle) into `Effort` and `crawler_fetch_total`.
+    /// this stats handle) into `Effort` and `crawler_fetch_total`, the
+    /// refusal ledger into `crawler_refusals_total`, and absorbed sheds
+    /// into each account's pacing.
     pub fn retry_stats(mut self, stats: Arc<RetryStats>) -> Self {
         self.retry_stats = Some(stats);
         self
@@ -654,11 +820,13 @@ pub struct ParallelCrawler<E: Exchange + Send> {
     factory: Option<Box<dyn FnMut() -> AccountSeat<E>>>,
     recruited: usize,
     max_accounts: usize,
-    retry_stats: Option<Arc<RetryStats>>,
+    /// Cursors into the shared [`RetryStats`] for the retry metric and
+    /// the refusal ledger.
     retries_synced: AtomicU64,
     edge_refusals_synced: AtomicU64,
     fault_refusals_synced: AtomicU64,
     throttle_refusals_synced: AtomicU64,
+    shed_refusals_synced: AtomicU64,
     sched_metrics: Option<SchedMetrics>,
     seeds_cache: HashMap<SchoolId, Vec<UserId>>,
     profile_cache: HashMap<UserId, ScrapedProfile>,
@@ -710,6 +878,7 @@ fn endpoint_label(name: &str) -> Option<&'static str> {
         EP_FRIENDS => Some(EP_FRIENDS),
         EP_CIRCLES => Some(EP_CIRCLES),
         EP_MESSAGE => Some(EP_MESSAGE),
+        EP_DECOY => Some(EP_DECOY),
         _ => None,
     }
 }
@@ -719,34 +888,46 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         ParallelCrawlerBuilder::new(label)
     }
 
-    fn assemble(
-        seats: Vec<AccountSeat<E>>,
+    /// The paper's plain crawl: one clockless seat per exchange, the
+    /// builder's defaults otherwise (`workers = 1`, no recruitment).
+    pub fn new(exchanges: Vec<E>, label: &str) -> Result<ParallelCrawler<E>, CrawlError> {
+        let seats = exchanges.into_iter().map(|exchange| AccountSeat { exchange, clock: None });
+        ParallelCrawler::builder(label).build(seats.collect())
+    }
+
+    /// An empty crawler (no accounts yet) with the builder's settings.
+    fn from_builder(
+        label: String,
         builder: ParallelCrawlerBuilder<E>,
-    ) -> Result<ParallelCrawler<E>, CrawlError> {
-        let budget = 8 + 2 * builder.max_accounts.max(seats.len());
+        seats: usize,
+    ) -> ParallelCrawler<E> {
         let (metrics, sched_metrics) = match builder.obs {
             Some((m, s)) => (Some(m), Some(s)),
             None => (None, None),
         };
-        let mut crawler = ParallelCrawler {
+        if let Some(m) = &sched_metrics {
+            m.workers.set(builder.workers as i64);
+        }
+        ParallelCrawler {
             accounts: Vec::new(),
-            label: builder.label,
+            label,
             workers: builder.workers,
             shared: Shared {
                 politeness: builder.politeness,
-                breaker: builder.breaker,
-                budget,
+                adaptive: builder.adaptive,
+                budget: 8 + 2 * builder.max_accounts.max(seats),
                 metrics,
                 tracer: builder.tracer,
+                retry_stats: builder.retry_stats,
             },
             factory: builder.factory,
             recruited: 0,
             max_accounts: builder.max_accounts,
-            retry_stats: builder.retry_stats,
             retries_synced: AtomicU64::new(0),
             edge_refusals_synced: AtomicU64::new(0),
             fault_refusals_synced: AtomicU64::new(0),
             throttle_refusals_synced: AtomicU64::new(0),
+            shed_refusals_synced: AtomicU64::new(0),
             sched_metrics,
             seeds_cache: HashMap::new(),
             profile_cache: HashMap::new(),
@@ -762,10 +943,15 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             journal_suspended: BTreeSet::new(),
             pending_recruits: Vec::new(),
             journal_lanes: Vec::new(),
-        };
-        if let Some(m) = &crawler.sched_metrics {
-            m.workers.set(crawler.workers as i64);
         }
+    }
+
+    fn assemble(
+        seats: Vec<AccountSeat<E>>,
+        builder: ParallelCrawlerBuilder<E>,
+    ) -> Result<ParallelCrawler<E>, CrawlError> {
+        let label = builder.label.clone();
+        let mut crawler = Self::from_builder(label, builder, seats.len());
         for (i, seat) in seats.into_iter().enumerate() {
             let username = format!("{}-{i}", crawler.label);
             crawler.enroll(seat, username)?;
@@ -791,51 +977,15 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         if state.lanes.is_empty() {
             return Err(CrawlError::BadPage("no accounts"));
         }
-        let budget = 8 + 2 * builder.max_accounts.max(seats.len());
-        let (metrics, sched_metrics) = match builder.obs {
-            Some((m, s)) => (Some(m), Some(s)),
-            None => (None, None),
-        };
-        let mut crawler = ParallelCrawler {
-            accounts: Vec::new(),
-            // The journaled label wins: recruit usernames ("{label}-rN")
-            // must keep matching the original run's.
-            label: state.label.clone(),
-            workers: builder.workers,
-            shared: Shared {
-                politeness: builder.politeness,
-                breaker: builder.breaker,
-                budget,
-                metrics,
-                tracer: builder.tracer,
-            },
-            factory: builder.factory,
-            recruited: state.sched.recruited as usize,
-            max_accounts: builder.max_accounts,
-            retry_stats: builder.retry_stats,
-            retries_synced: AtomicU64::new(0),
-            edge_refusals_synced: AtomicU64::new(0),
-            fault_refusals_synced: AtomicU64::new(0),
-            throttle_refusals_synced: AtomicU64::new(0),
-            sched_metrics,
-            seeds_cache: HashMap::new(),
-            profile_cache: HashMap::new(),
-            friends_cache: HashMap::new(),
-            circles_cache: HashMap::new(),
-            incomplete: state.incomplete.iter().copied().collect(),
-            tombstoned: state.tombstoned.iter().copied().collect(),
-            friends_gen: HashMap::new(),
-            stale_refetches: state.sched.stale_refetches,
-            rr: state.sched.rr as usize,
-            modeled_wall_ms: state.sched.modeled_wall_ms,
-            journal: builder.journal,
-            journal_suspended: BTreeSet::new(),
-            pending_recruits: Vec::new(),
-            journal_lanes: Vec::new(),
-        };
-        if let Some(m) = &crawler.sched_metrics {
-            m.workers.set(crawler.workers as i64);
-        }
+        // The journaled label wins: recruit usernames ("{label}-rN")
+        // must keep matching the original run's.
+        let mut crawler = Self::from_builder(state.label.clone(), builder, seats.len());
+        crawler.recruited = state.sched.recruited as usize;
+        crawler.incomplete = state.incomplete.iter().copied().collect();
+        crawler.tombstoned = state.tombstoned.iter().copied().collect();
+        crawler.stale_refetches = state.sched.stale_refetches;
+        crawler.rr = state.sched.rr as usize;
+        crawler.modeled_wall_ms = state.sched.modeled_wall_ms;
         for (&school, seeds) in &state.seeds {
             crawler.seeds_cache.insert(school, seeds.clone());
         }
@@ -854,42 +1004,35 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         // Transport retry ledger: restore the shared stats handle and
         // pre-load the synced cursors so metric deltas only count
         // post-resume activity (no double-billing on restart).
-        if let Some(stats) = &crawler.retry_stats {
-            stats.restore(&state.sched.retry_stats.to_stats());
-            crawler.retries_synced = AtomicU64::new(state.sched.retry_stats.retries);
-            crawler.edge_refusals_synced = AtomicU64::new(state.sched.retry_stats.edge_limited);
-            crawler.fault_refusals_synced =
-                AtomicU64::new(state.sched.retry_stats.fault_rate_limited);
-            crawler.throttle_refusals_synced = AtomicU64::new(state.sched.retry_stats.throttled);
+        if let Some(stats) = &crawler.shared.retry_stats {
+            let journaled = &state.sched.retry_stats;
+            stats.restore(&journaled.to_stats());
+            crawler.retries_synced = AtomicU64::new(journaled.retries);
+            crawler.edge_refusals_synced = AtomicU64::new(journaled.edge_limited);
+            crawler.fault_refusals_synced = AtomicU64::new(journaled.fault_rate_limited);
+            crawler.throttle_refusals_synced = AtomicU64::new(journaled.throttled);
+            crawler.shed_refusals_synced = AtomicU64::new(journaled.sheds);
         }
         for (i, (seat, lane)) in seats.into_iter().zip(&state.lanes).enumerate() {
-            let mut exchange = seat.exchange;
-            exchange.restore_transport_state(&lane.transport.to_transport());
-            let clock = seat.clock;
-            if let Some(c) = &clock {
+            let mut worker = AccountWorker::new(seat.exchange, seat.clock, lane.username.clone());
+            worker.exchange.restore_transport_state(&lane.transport.to_transport());
+            if let Some(c) = &worker.clock {
                 // A fresh seat clock starts at zero; fast-forward it to
                 // the journaled timeline. (Not `advance_ms` on the
                 // worker — that would double-charge `local_ms`.)
                 c.advance_ms(lane.clock_ms);
             }
-            let mut breakers = HashMap::new();
-            for (name, b) in &lane.breakers {
+            for (name, &b) in &lane.breakers {
                 if let Some(ep) = endpoint_label(name) {
-                    breakers.insert(ep, Breaker::restore(b.consecutive, b.open));
+                    worker.breakers.insert(ep, b);
                 }
             }
-            let worker = AccountWorker {
-                exchange,
-                username: lane.username.clone(),
-                password: lane.password.clone(),
-                suspended: lane.suspended,
-                effort: lane.effort,
-                local_ms: lane.local_ms,
-                clock,
-                breakers,
-                lane: trace_lane(&lane.username),
-                trace_ordinal: lane.trace_ordinal,
-            };
+            worker.password = lane.password.clone();
+            worker.suspended = lane.suspended;
+            worker.effort = lane.effort;
+            worker.local_ms = lane.local_ms;
+            worker.trace_ordinal = lane.trace_ordinal;
+            worker.pacing = lane.pacing;
             crawler.accounts.push(Mutex::new(worker));
             if lane.suspended {
                 crawler.journal_suspended.insert(i);
@@ -913,54 +1056,10 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         journal.commit("base").map_err(map_journal_err)
     }
 
-    /// Sign up (tolerating "already registered") and log in one seat.
+    /// Sign up and log in one seat, then add it to the fleet.
     fn enroll(&mut self, seat: AccountSeat<E>, username: String) -> Result<(), CrawlError> {
-        let password = "hunter2";
-        let lane = trace_lane(&username);
-        let mut worker = AccountWorker {
-            exchange: seat.exchange,
-            username,
-            password: password.to_string(),
-            suspended: false,
-            effort: Effort::default(),
-            local_ms: 0,
-            clock: seat.clock,
-            breakers: HashMap::new(),
-            lane,
-            trace_ordinal: 0,
-        };
-        let trace = worker.next_trace_ctx(&self.shared);
-        let mut signup =
-            Request::post_form("/signup", &[("user", &worker.username), ("pass", password)]);
-        if let Some((_, ctx)) = &trace {
-            signup = signup.header(H_TRACE_ID, ctx.header_value());
-        }
-        let begin_ms = worker.now_ms();
-        let result = worker.exchange.exchange(signup);
-        if let Some((tracer, ctx)) = &trace {
-            record_root_span(tracer, ctx, EP_AUTH, begin_ms, worker.now_ms(), result.as_ref().ok());
-        }
-        let resp = result?;
-        worker.count_request(EP_AUTH, &self.shared);
-        if !resp.status.is_success() && resp.status != Status::BAD_REQUEST {
-            return Err(CrawlError::Denied(resp.status));
-        }
-        let trace = worker.next_trace_ctx(&self.shared);
-        let mut login =
-            Request::post_form("/login", &[("user", &worker.username), ("pass", password)]);
-        if let Some((_, ctx)) = &trace {
-            login = login.header(H_TRACE_ID, ctx.header_value());
-        }
-        let begin_ms = worker.now_ms();
-        let result = worker.exchange.exchange(login);
-        if let Some((tracer, ctx)) = &trace {
-            record_root_span(tracer, ctx, EP_AUTH, begin_ms, worker.now_ms(), result.as_ref().ok());
-        }
-        let resp = result?;
-        worker.count_request(EP_AUTH, &self.shared);
-        if !resp.status.is_success() {
-            return Err(CrawlError::Denied(resp.status));
-        }
+        let mut worker = AccountWorker::new(seat.exchange, seat.clock, username);
+        worker.enroll(&self.shared)?;
         self.accounts.push(Mutex::new(worker));
         Ok(())
     }
@@ -975,49 +1074,33 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         self.live_indices().len()
     }
 
-    /// Worker threads this scheduler runs batches with.
-    pub fn workers(&self) -> usize {
-        self.workers
+    /// The widest pushback multiplier any account is pacing at (≥ 1).
+    pub fn politeness_widen_factor(&self) -> u64 {
+        self.accounts
+            .iter()
+            .map(|a| a.lock().expect("account lock").pacing.widen_factor.max(1))
+            .max()
+            .unwrap_or(1)
     }
 
-    /// Modeled virtual wall-clock of the crawl so far at `workers`
-    /// concurrent lanes (per-batch greedy makespans, accumulated).
-    pub fn modeled_wall_ms(&self) -> u64 {
-        self.modeled_wall_ms
-    }
-
-    /// Users whose friend lists are partial (degraded fetches).
-    pub fn incomplete_friend_lists(&self) -> Vec<UserId> {
-        self.incomplete.iter().copied().collect()
-    }
-
-    /// Warm the caches from a checkpoint (see [`crate::Crawler::restore`]).
-    pub fn restore(&mut self, snap: &CrawlSnapshot) {
-        for (&school, seeds) in &snap.seeds {
-            self.seeds_cache.insert(school, seeds.clone());
-        }
-        for (&uid, profile) in &snap.profiles {
-            self.profile_cache.insert(uid, profile.clone());
-        }
-        for (&uid, friends) in &snap.friends {
-            self.friends_cache.insert(uid, friends.clone());
-            self.incomplete.remove(&uid);
-        }
+    /// Intentional application-level auth-POST retries issued so far
+    /// (signup/login resent after a transport failure — safe because
+    /// both are application-idempotent).
+    pub fn auth_retries(&self) -> u64 {
+        self.accounts.iter().map(|a| a.lock().expect("account lock").auth_retries).sum()
     }
 
     /// Snapshot every lane's full machine state (transport, clocks,
-    /// breakers, effort, trace cursor) for a journal commit boundary.
+    /// breakers, effort, trace cursor, pacing) for a journal commit
+    /// boundary.
     fn lane_states(&self) -> Vec<LaneState> {
         self.accounts
             .iter()
             .enumerate()
             .map(|(i, a)| {
                 let worker = a.lock().expect("account lock");
-                let mut breakers = std::collections::BTreeMap::new();
-                for (&ep, b) in &worker.breakers {
-                    let (consecutive, open) = b.snapshot();
-                    breakers.insert(ep.to_string(), BreakerState { consecutive, open });
-                }
+                let breakers =
+                    worker.breakers.iter().map(|(&ep, &b)| (ep.to_string(), b)).collect();
                 LaneState {
                     index: i as u64,
                     username: worker.username.clone(),
@@ -1031,6 +1114,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
                     transport: TransportJournalState::from_transport(
                         &worker.exchange.transport_state(),
                     ),
+                    pacing: worker.pacing,
                 }
             })
             .collect()
@@ -1043,6 +1127,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             recruited: self.recruited as u64,
             stale_refetches: self.stale_refetches,
             retry_stats: self
+                .shared
                 .retry_stats
                 .as_ref()
                 .map(|s| RetryStatsState::from_stats(&s.export()))
@@ -1154,17 +1239,6 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         Ok(())
     }
 
-    /// Atomically rewrite the journal down to a single `Base` snapshot
-    /// of the current state (temp file + fsync + rename). No-op when
-    /// the crawler runs without a journal.
-    pub fn compact_journal(&mut self) -> Result<(), CrawlError> {
-        if self.journal.is_none() {
-            return Ok(());
-        }
-        let state = self.resume_state();
-        self.journal.as_mut().expect("journal present").compact(&state).map_err(map_journal_err)
-    }
-
     /// The attached journal, if any (tests, overhead accounting).
     pub fn journal(&self) -> Option<&Journal> {
         self.journal.as_ref()
@@ -1187,9 +1261,9 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
 
     /// Fold transport retries accumulated since the last sync into
     /// `crawler_fetch_total{endpoint="retry"}`, and the refusal ledger
-    /// into `crawler_refusals_total{source=edge|fault|throttle}`.
+    /// into `crawler_refusals_total{source=edge|fault|throttle|shed}`.
     fn sync_retry_metric(&self) {
-        let Some(stats) = &self.retry_stats else { return };
+        let Some(stats) = &self.shared.retry_stats else { return };
         let now = stats.retries();
         let prev = self.retries_synced.swap(now, Ordering::SeqCst);
         let delta = now.saturating_sub(prev);
@@ -1208,6 +1282,9 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             let throttle = stats.throttled();
             let prev = self.throttle_refusals_synced.swap(throttle, Ordering::SeqCst);
             m.refusal("throttle", throttle.saturating_sub(prev));
+            let shed = stats.sheds();
+            let prev = self.shed_refusals_synced.swap(shed, Ordering::SeqCst);
+            m.refusal("shed", shed.saturating_sub(prev));
         }
     }
 
@@ -1304,6 +1381,8 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
                 .map(|s| s.into_inner().expect("slot lock").expect("queue ran"))
                 .collect()
         };
+        // Ledger what the batch's exchanges absorbed, even if it failed.
+        self.sync_retry_metric();
         // Deterministic merge, in queue order.
         let mut done = Vec::new();
         let mut leftover = Vec::new();
@@ -1320,7 +1399,6 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         }
         let batch_makespan = makespan(&durations, self.workers);
         self.modeled_wall_ms += batch_makespan;
-        self.sync_retry_metric();
         if let Some(m) = &self.sched_metrics {
             let elapsed = started.elapsed();
             m.prefetch_batch_us.record(elapsed.as_micros() as u64);
@@ -1359,8 +1437,8 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             let (batch_done, leftover) = self.run_queues(queues)?;
             done.extend(batch_done);
             if !leftover.is_empty() {
-                // An account died mid-batch: escalate the fleet like
-                // the sequential crawler before redistributing.
+                // An account died mid-batch: escalate the fleet (the
+                // paper's 2→4→8) before redistributing.
                 self.recruit()?;
             }
             pending = leftover;
@@ -1395,7 +1473,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         }
         total.stale_refetch_requests += self.stale_refetches;
         total.tombstones = self.tombstoned.len() as u64;
-        if let Some(stats) = &self.retry_stats {
+        if let Some(stats) = &self.shared.retry_stats {
             total.retry_requests = stats.retries();
         }
         total
@@ -1408,8 +1486,8 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
             return Ok(seeds.clone());
         }
         // One seed sweep per live account, concurrently: each account
-        // pages its own search sample, exactly like the sequential
-        // crawl — the per-account page sequences are identical.
+        // pages its own search sample, so the per-account page
+        // sequences are the same at any worker count.
         let queues: Vec<(usize, Vec<Job>)> =
             self.live_indices().into_iter().map(|a| (a, vec![Job::Seeds(school)])).collect();
         let (done, leftover) = self.run_queues(queues)?;
@@ -1670,7 +1748,7 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
     }
 
     fn incomplete_friends(&self) -> Vec<UserId> {
-        self.incomplete_friend_lists()
+        self.incomplete.iter().copied().collect()
     }
 
     fn tombstoned_users(&self) -> Vec<UserId> {
@@ -1694,6 +1772,8 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
         snap
     }
 
+    /// The modeled makespan at `workers` lanes: per-batch greedy
+    /// assignments of the account queues' virtual durations, summed.
     fn virtual_elapsed_ms(&self) -> u64 {
         self.modeled_wall_ms
     }
@@ -1763,28 +1843,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_sequential_crawler_bit_for_bit() {
-        let (platform, s) = tiny_platform(FaultPlan::default());
-        let handler = platform.into_handler();
-        let exchanges = (0..2).map(|_| DirectExchange::new(handler.clone())).collect();
-        let mut sequential = crate::Crawler::new(exchanges, "spy").unwrap();
-
-        let (platform_p, _) = tiny_platform(FaultPlan::default());
-        let mut par = parallel(&platform_p, 2, 4);
-
-        let seeds_seq = sequential.collect_seeds(s.school).unwrap();
-        let seeds_par = par.collect_seeds(s.school).unwrap();
-        assert_eq!(seeds_seq, seeds_par);
-
-        par.prefetch_profiles(&seeds_par).unwrap();
-        for &u in &seeds_seq {
-            assert_eq!(sequential.profile(u).unwrap(), par.profile(u).unwrap());
-            assert_eq!(sequential.friends(u).unwrap(), par.friends(u).unwrap());
-        }
-        assert_eq!(sequential.effort(), par.effort(), "same pages, same cost");
-    }
-
-    #[test]
     fn suspension_mid_batch_fails_over_and_recruits() {
         // Each run gets a fresh platform (suspension is server-side
         // state), so build per-run platforms instead of reusing one.
@@ -1813,13 +1871,56 @@ mod tests {
     }
 
     #[test]
+    fn observability_counts_fetches_caches_and_politeness() {
+        let (platform, s) = tiny_platform(FaultPlan::default());
+        let mut crawler = parallel(&platform, 2, 1);
+        let u = s.roster()[0];
+        let _ = crawler.profile(u).unwrap();
+        let _ = crawler.profile(u).unwrap(); // cache hit
+        let _ = crawler.friends(u);
+
+        let snap = platform.obs.snapshot();
+        assert_eq!(snap.counter("crawler_fetch_total{endpoint=\"auth\"}"), 4);
+        assert_eq!(snap.counter("crawler_fetch_total{endpoint=\"profile\"}"), 1);
+        assert_eq!(snap.counter("crawler_cache_total{cache=\"profile\",result=\"hit\"}"), 1);
+        assert_eq!(snap.counter("crawler_cache_total{cache=\"profile\",result=\"miss\"}"), 1);
+        // Fault-free at one worker lane, politeness is the whole modeled
+        // timeline.
+        let virt = snap.counter("crawler_politeness_virtual_ms");
+        assert_eq!(virt, crawler.virtual_elapsed_ms());
+        assert!(virt >= 2 * Politeness::default().sleep_ms_between_requests);
+        // Both sides of the experiment share one registry: the platform's
+        // route counters moved too.
+        assert!(snap.counter("http_route_requests_total{route=\"/profile/:uid\"}") >= 1);
+    }
+
+    #[test]
+    fn more_accounts_more_seeds() {
+        // With a big enough pool, extra accounts surface extra seeds.
+        let scenario = generate(&ScenarioConfig::tiny());
+        let platform = Platform::new(
+            Arc::new(scenario.network.clone()),
+            Arc::new(FacebookPolicy::new()),
+            PlatformConfig { search_cap_per_account: 20, ..PlatformConfig::default() },
+        );
+        let handler = platform.into_handler();
+        let mk = |n: usize, label: &str| {
+            let exchanges = (0..n).map(|_| DirectExchange::new(handler.clone())).collect();
+            ParallelCrawler::new(exchanges, label).unwrap()
+        };
+        let one = mk(1, "a").collect_seeds(scenario.school).unwrap();
+        let four = mk(4, "b").collect_seeds(scenario.school).unwrap();
+        assert!(four.len() > one.len(), "{} vs {}", four.len(), one.len());
+    }
+
+    #[test]
     fn modeled_wall_clock_shrinks_with_workers() {
         let run = |workers: usize| {
             let (platform, s) = tiny_platform(FaultPlan::default());
             let mut crawler = parallel(&platform, 4, workers);
             let seeds = crawler.collect_seeds(s.school).unwrap();
             crawler.prefetch_profiles(&seeds).unwrap();
-            crawler.modeled_wall_ms()
+            crawler.virtual_elapsed_ms()
         };
         let serial = run(1);
         let parallel_wall = run(4);
@@ -1828,5 +1929,129 @@ mod tests {
             parallel_wall * 2 < serial,
             "4 accounts on 4 lanes must model at least 2x faster: {parallel_wall} vs {serial}"
         );
+    }
+
+    /// Fails its first `failures` exchanges with a transport error and
+    /// counts a shed on every call when `shed` is set, then delegates.
+    struct Hostile {
+        inner: DirectExchange,
+        failures: usize,
+        shed: Option<Arc<RetryStats>>,
+    }
+
+    impl Exchange for Hostile {
+        fn exchange(&mut self, req: Request) -> hsp_http::Result<Response> {
+            if let Some(stats) = &self.shed {
+                stats.sheds.fetch_add(1, Ordering::Relaxed);
+            }
+            if self.failures > 0 {
+                self.failures -= 1;
+                return Err(HttpError::UnexpectedEof);
+            }
+            self.inner.exchange(req)
+        }
+
+        fn clear_session(&mut self) {
+            self.inner.clear_session();
+        }
+    }
+
+    fn hostile_crawler(
+        platform: &Arc<Platform>,
+        failures: usize,
+        shed: Option<Arc<RetryStats>>,
+    ) -> ParallelCrawler<Hostile> {
+        let seat = Hostile {
+            inner: DirectExchange::new(platform.into_handler()),
+            failures,
+            shed: shed.clone(),
+        };
+        let mut builder = ParallelCrawler::builder("spy").observability(&platform.obs);
+        if let Some(stats) = shed {
+            builder = builder.retry_stats(stats);
+        }
+        builder.build(vec![AccountSeat { exchange: seat, clock: None }]).expect("enrolled")
+    }
+
+    #[test]
+    fn auth_posts_and_gets_survive_transport_errors() {
+        let (platform, s) = tiny_platform(FaultPlan::default());
+        // The signup's first two attempts and nothing else fail.
+        let mut crawler = hostile_crawler(&platform, 2, None);
+        assert_eq!(crawler.auth_retries(), 2);
+        assert_eq!(crawler.effort().auth_requests, 4, "3 signup attempts + 1 login");
+        // A GET whose transport fails is retried on the same account.
+        crawler.accounts[0].lock().unwrap().exchange.failures = 1;
+        crawler.profile(s.roster()[0]).expect("profile survives a reset");
+        assert_eq!(crawler.effort().profile_requests, 2);
+    }
+
+    #[test]
+    fn pushback_widens_a_seat_and_calm_narrows_it() {
+        let (platform, s) = tiny_platform(FaultPlan::default());
+        let stats = Arc::new(RetryStats::default());
+        let mut crawler = hostile_crawler(&platform, 0, Some(Arc::clone(&stats)));
+        let base = Politeness::default().sleep_ms_between_requests;
+        let cap = Politeness::default().max_widen_factor;
+        let roster = s.roster();
+        // Every fetch's exchange absorbed a shed: double the spacing
+        // each time, up to the cap, and ledger the sheds.
+        let mut expected_ms = crawler.accounts[0].lock().unwrap().local_ms;
+        for (k, &uid) in roster.iter().take(4).enumerate() {
+            crawler.profile(uid).unwrap();
+            expected_ms += base * (1u64 << k).min(cap);
+            assert_eq!(crawler.accounts[0].lock().unwrap().local_ms, expected_ms);
+        }
+        assert_eq!(crawler.politeness_widen_factor(), cap);
+        let snap = platform.obs.snapshot();
+        assert_eq!(snap.counter("crawler_refusals_total{source=\"shed\"}"), stats.sheds());
+        // Calm fetches narrow one step per `narrow_after_successes`.
+        crawler.accounts[0].lock().unwrap().exchange.shed = None;
+        let calm = Politeness::default().narrow_after_successes as usize;
+        for &uid in roster.iter().skip(4).take(calm) {
+            crawler.profile(uid).unwrap();
+        }
+        assert_eq!(crawler.politeness_widen_factor(), cap / 2);
+        // And the pacing is journaled state.
+        assert_eq!(crawler.resume_state().lanes[0].pacing.widen_factor, cap / 2);
+    }
+
+    #[test]
+    fn adaptive_seats_jitter_and_bill_decoys_at_any_worker_count() {
+        let run = |adaptive: bool, workers: usize| {
+            let (platform, s) = tiny_platform(FaultPlan::default());
+            let handler = platform.into_handler();
+            let seats = (0..2)
+                .map(|_| AccountSeat {
+                    exchange: DirectExchange::new(handler.clone()),
+                    clock: None,
+                })
+                .collect();
+            let mut builder =
+                ParallelCrawler::builder("spy").workers(workers).observability(&platform.obs);
+            if adaptive {
+                builder = builder.adaptive(AdaptiveStrategy::seeded(7));
+            }
+            let mut crawler = builder.build(seats).unwrap();
+            let seeds = crawler.collect_seeds(s.school).unwrap();
+            crawler.prefetch_profiles(&seeds).unwrap();
+            let decoy_metric =
+                platform.obs.snapshot().counter("crawler_fetch_total{endpoint=\"decoy\"}");
+            let ms = crawler.virtual_elapsed_ms();
+            (crawler.checkpoint().profiles, crawler.effort(), decoy_metric, ms)
+        };
+        let (naive_ckpt, naive_effort, _, naive_ms) = run(false, 1);
+        let (ckpt, effort, decoy_metric, ms) = run(true, 1);
+        let (ckpt4, effort4, decoy_metric4, _) = run(true, 4);
+        assert_eq!(
+            (&ckpt, effort, decoy_metric),
+            (&ckpt4, effort4, decoy_metric4),
+            "adaptive pacing is per seat: worker count is invisible"
+        );
+        assert_eq!(ckpt, naive_ckpt, "evasion changes the cost, not the pages");
+        assert!(effort.decoy_requests > 0);
+        assert_eq!(effort.decoy_requests, decoy_metric);
+        assert_eq!(effort.total(), naive_effort.total() + effort.decoy_requests);
+        assert_ne!(ms, naive_ms, "jitter and warm-up reshape the timeline");
     }
 }

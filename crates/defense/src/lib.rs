@@ -15,7 +15,8 @@
 //!
 //! - **inter-request timing**: fraction of gaps that are machine-fast
 //!   and fraction that are metronomically regular, measured on the
-//!   shared `VirtualClock`;
+//!   session's own timeline — the `x-virtual-now-ms` stamp each crawler
+//!   seat puts on its requests (the platform clock for unstamped ones);
 //! - **page-traversal fan-out**: distinct profiles visited over profile
 //!   fetches (humans revisit friends; crawlers never do);
 //! - **search-to-profile mix**: the share of traffic that is scraping
@@ -42,6 +43,7 @@
 //! suspend. `Off` is a strict no-op: no state, no clock reads, no
 //! headers — the baseline attack replays bit-identically.
 
+use hsp_http::resilient::H_VIRTUAL_NOW;
 use hsp_http::{request_cookie, Request};
 use hsp_obs::{Counter, Registry};
 use parking_lot::Mutex;
@@ -147,9 +149,9 @@ pub struct DetectorProfile {
     /// CAPTCHA solve cost in virtual milliseconds.
     pub captcha_delay_ms: u64,
     /// Requests refused per throttle window. Count-based, not
-    /// time-based: the platform's clock may never advance (parallel
-    /// crawls keep per-seat clocks), and a time window would then
-    /// never close.
+    /// time-based: the window closes after a fixed number of refused
+    /// requests, so what a throttle costs depends only on the session's
+    /// request order, not on how its retries are paced.
     pub throttle_window: u64,
     /// `Retry-After` advertised on throttle 429s, in seconds.
     pub throttle_retry_after_secs: u64,
@@ -164,11 +166,10 @@ impl DetectorProfile {
             DetectorStrength::Off => None,
             DetectorStrength::Low => Some(DetectorProfile {
                 min_observations: 48,
-                // The naive crawler's realized signature sits around
-                // 750‰ (metronomic-but-slow pacing: the regular-gap,
-                // fan-out and breadth features saturate while the
-                // fast-gap one stays quiet), so Low catches it — but
-                // only at CAPTCHA friction. A mildly jittered human
+                // The naive crawler's signature saturates every
+                // feature (each session's own gaps are metronomic 1.5 s
+                // sleeps, under the fast-gap line), so Low catches it —
+                // but only at CAPTCHA friction. A mildly jittered human
                 // browse scores well under 500‰.
                 score_threshold_pm: 725,
                 strikes_to_escalate: 3,
@@ -490,10 +491,22 @@ impl SybilDetector {
     /// Observe one request *before* it is handled and decide what to do
     /// with it. Must be called on the platform's request path for every
     /// instrumented route; unobservable traffic (no session) passes.
-    pub fn observe(&self, route: &str, req: &Request, now_ms: u64) -> Verdict {
+    /// The request is timed at its `x-virtual-now-ms` stamp, or at
+    /// `platform_now()` when it carries none; `Off` reads neither.
+    pub fn observe(
+        &self,
+        route: &str,
+        req: &Request,
+        platform_now: impl FnOnce() -> u64,
+    ) -> Verdict {
         let Some(profile) = self.profile else { return Verdict::Allow };
         let Some(class) = route_class(route) else { return Verdict::Allow };
         let Some(key) = session_key(req) else { return Verdict::Allow };
+        let now_ms = req
+            .headers
+            .get(H_VIRTUAL_NOW)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(platform_now);
         let metrics = self.metrics.as_ref().expect("enabled detector has metrics");
         let mut sessions = self.sessions.lock();
         let state = sessions.entry(key).or_default();
@@ -645,7 +658,7 @@ mod tests {
         (0..n)
             .map(|i| {
                 let req = profile_req(sid, start_uid + i);
-                det.observe("/profile/:uid", &req, (start_uid + i) * 1_500)
+                det.observe("/profile/:uid", &req, || (start_uid + i) * 1_500)
             })
             .collect()
     }
@@ -655,13 +668,35 @@ mod tests {
         let reg = Registry::new();
         let det = SybilDetector::new(DefenseConfig::default(), &reg);
         assert!(!det.enabled());
+        // Off resolves no timestamp at all: neither the request's stamp
+        // nor the platform clock (which would be read for this unstamped
+        // request if the stamp had been looked up).
         for i in 0..500 {
-            let v = det.observe("/profile/:uid", &profile_req(0, i), i * 10);
+            let v = det.observe("/profile/:uid", &profile_req(0, i), || panic!("Off read a clock"));
             assert_eq!(v, Verdict::Allow);
         }
         assert_eq!(det.sessions_observed(0), 0, "Off must keep no state");
         let text = reg.render_prometheus();
         assert!(!text.contains("defense_"), "Off must register no metrics: {text}");
+    }
+
+    #[test]
+    fn request_stamps_are_the_session_timeline() {
+        // One request stream, stamped 3 s apart (slower than a
+        // machine-fast gap) vs all at the same instant: the detector
+        // times each session on the stamps its requests carry, never on
+        // the platform clock.
+        let score = |gap_ms: u64| {
+            let det = detector(DetectorStrength::High);
+            for i in 0..40u64 {
+                let req = profile_req(0, i % 12).header(H_VIRTUAL_NOW, (i * gap_ms).to_string());
+                det.observe("/profile/:uid", &req, || panic!("stamped request read the clock"));
+            }
+            det.session(1).unwrap().score_pm()
+        };
+        let (paced, burst) = (score(3_000), score(0));
+        assert_ne!(paced, burst, "the stamps must reach the timing features");
+        assert!(burst > paced, "zero gaps read as more machine-like: {burst} vs {paced}");
     }
 
     #[test]
@@ -681,7 +716,7 @@ mod tests {
         let det = detector(DetectorStrength::High);
         let mut seen = vec![Tier::None];
         for i in 0..400u64 {
-            det.observe("/profile/:uid", &profile_req(0, i), i * 1_500);
+            det.observe("/profile/:uid", &profile_req(0, i), || i * 1_500);
             let tier = det.session(1).unwrap().tier;
             if *seen.last().unwrap() != tier {
                 seen.push(tier);
@@ -745,7 +780,7 @@ mod tests {
                     "/find-friends",
                     &Request::get(format!("/find-friends?page={i}"))
                         .header("Cookie", "sid=sid-0-tok"),
-                    i * 1_500,
+                    || i * 1_500,
                 )
             })
             .collect();
@@ -784,7 +819,7 @@ mod tests {
             }
             for &(sid, i) in order {
                 let t = per_account.get_mut(&sid).unwrap();
-                det.observe("/profile/:uid", &profile_req(sid, i), *t * 1_500);
+                det.observe("/profile/:uid", &profile_req(sid, i), || *t * 1_500);
                 *t += 1;
             }
         };
@@ -803,7 +838,8 @@ mod tests {
     fn sessions_without_sid_are_not_observed() {
         let det = detector(DetectorStrength::High);
         for i in 0..100u64 {
-            let v = det.observe("/profile/:uid", &Request::get(format!("/profile/u{i}")), i * 10);
+            let v =
+                det.observe("/profile/:uid", &Request::get(format!("/profile/u{i}")), || i * 10);
             assert_eq!(v, Verdict::Allow);
         }
         assert_eq!(det.sessions_observed(0), 0);
@@ -818,7 +854,7 @@ mod tests {
         for i in 0..300u64 {
             // Irregular slow gaps (5s..35s) and a pool of 12 friends.
             t += 5_000 + splitmix64(i) % 30_000;
-            let v = det.observe("/profile/:uid", &profile_req(0, i % 12), t);
+            let v = det.observe("/profile/:uid", &profile_req(0, i % 12), || t);
             assert_eq!(v, Verdict::Allow, "human-ish browsing got punished at request {i}");
         }
         assert!(!det.session(1).unwrap().flagged);
@@ -834,7 +870,7 @@ mod tests {
         let mut t = 0u64;
         for i in 0..30u64 {
             t += 5_000 + splitmix64(i) % 30_000;
-            det.observe("/message/:uid", &req(i), t);
+            det.observe("/message/:uid", &req(i), || t);
             det.observe_message_outcome(&req(i), true);
         }
         let with_denials = det.session(1).unwrap().score_pm();
@@ -842,7 +878,7 @@ mod tests {
         let mut t = 0u64;
         for i in 0..30u64 {
             t += 5_000 + splitmix64(i) % 30_000;
-            det2.observe("/message/:uid", &req(i), t);
+            det2.observe("/message/:uid", &req(i), || t);
             det2.observe_message_outcome(&req(i), false);
         }
         let without = det2.session(1).unwrap().score_pm();

@@ -22,8 +22,8 @@
 use crate::runner::Lab;
 use hsp_core::{evaluate, run_basic, run_enhanced, EnhanceOptions};
 use hsp_crawler::{
-    fold_state, recover_instrumented, AccountSeat, CrawlError, Effort, Journal, JournalMetrics,
-    KillPlan, OsnAccess, ParallelCrawler, ResumeState, LANE_RECOVERY,
+    fold_state, recover_instrumented, AccountSeat, AdaptiveStrategy, CrawlError, Effort, Journal,
+    JournalMetrics, KillPlan, OsnAccess, ParallelCrawler, ResumeState, LANE_RECOVERY,
 };
 use hsp_graph::UserId;
 use hsp_http::{DirectExchange, Handler, ResilientExchange, RetryPolicy, RetryStats};
@@ -133,25 +133,48 @@ fn make_seat(
     }
 }
 
-/// Build a fresh journaled (or volatile, when `journal` is `None`)
-/// crash attacker over `lab`. Seat `i` is seeded `seed ^ i`; recruits
-/// continue at `accounts + 1, accounts + 2, ...` — the same convention
-/// [`Lab::parallel_crawler`] uses, which is what lets a resume re-mint
-/// byte-identical replacement seats.
-fn build_fresh(
-    lab: &Lab,
+/// The crash attacker's settings: retry seed, worker threads, and the
+/// adaptive strategy (`None` = naive pacing).
+#[derive(Clone, Copy)]
+struct Fleet {
     seed: u64,
     workers: usize,
+    adaptive: Option<AdaptiveStrategy>,
+}
+
+/// Build the crash attacker over `lab`: fresh (`resume` is `None`;
+/// journaled unless `journal` is `None`) or rebuilt from a recovered
+/// journal state by [`hsp_crawler::ParallelCrawlerBuilder::build_resumed`].
+/// Seat `i` is seeded `seed ^ i` and recruits continue at `accounts +
+/// 1, accounts + 2, ...` — the convention [`Lab::crawler`] uses — so a
+/// resume re-mints every journaled lane with its original seed (initial
+/// lane `i` was seat `i`; recruit lane `CRASH_ACCOUNTS + j` was seat
+/// `CRASH_ACCOUNTS + 1 + j`).
+fn build(
+    lab: &Lab,
+    fleet: Fleet,
+    resume: Option<&ResumeState>,
     journal: Option<Journal>,
 ) -> Result<ParallelCrawler<CrashExchange>, CrawlError> {
+    let Fleet { seed, workers, adaptive } = fleet;
     let stats = Arc::new(RetryStats::default());
     let handler = lab.handler();
     let tracer = Arc::clone(lab.obs.tracer());
+    let (lanes, recruited) =
+        resume.map_or((CRASH_ACCOUNTS, 0), |s| (s.lanes.len(), s.sched.recruited));
+    let seat_index = |lane: usize| -> u64 {
+        if lane < CRASH_ACCOUNTS {
+            lane as u64
+        } else {
+            (CRASH_ACCOUNTS + 1 + (lane - CRASH_ACCOUNTS)) as u64
+        }
+    };
     let seats: Vec<_> =
-        (0..CRASH_ACCOUNTS as u64).map(|i| make_seat(&handler, &tracer, &stats, seed, i)).collect();
+        (0..lanes).map(|i| make_seat(&handler, &tracer, &stats, seed, seat_index(i))).collect();
     let factory = {
         let (handler, tracer, stats) = (handler, tracer, Arc::clone(&stats));
-        let mut next = CRASH_ACCOUNTS as u64;
+        // The original factory had handed out `recruited` seats already.
+        let mut next = CRASH_ACCOUNTS as u64 + recruited;
         move || {
             next += 1;
             make_seat(&handler, &tracer, &stats, seed, next)
@@ -162,53 +185,16 @@ fn build_fresh(
         .observability(&lab.obs)
         .retry_stats(stats)
         .recruit_with(factory, CRASH_MAX_ACCOUNTS);
+    if let Some(strategy) = adaptive {
+        builder = builder.adaptive(strategy);
+    }
     if let Some(journal) = journal {
         builder = builder.journal(journal);
     }
-    builder.build(seats)
-}
-
-/// Rebuild the attacker from a recovered journal state: one fresh seat
-/// per journaled lane, re-minted with the *original* per-seat seeds
-/// (initial lane `i` was seat `i`; recruit lane `CRASH_ACCOUNTS + j`
-/// was seat `CRASH_ACCOUNTS + 1 + j`), then restored from the journal
-/// by [`hsp_crawler::ParallelCrawlerBuilder::build_resumed`].
-fn build_resumed(
-    lab: &Lab,
-    seed: u64,
-    workers: usize,
-    state: &ResumeState,
-    journal: Journal,
-) -> Result<ParallelCrawler<CrashExchange>, CrawlError> {
-    let stats = Arc::new(RetryStats::default());
-    let handler = lab.handler();
-    let tracer = Arc::clone(lab.obs.tracer());
-    let seat_index = |lane: usize| -> u64 {
-        if lane < CRASH_ACCOUNTS {
-            lane as u64
-        } else {
-            (CRASH_ACCOUNTS + 1 + (lane - CRASH_ACCOUNTS)) as u64
-        }
-    };
-    let seats: Vec<_> = (0..state.lanes.len())
-        .map(|i| make_seat(&handler, &tracer, &stats, seed, seat_index(i)))
-        .collect();
-    let factory = {
-        let (handler, tracer, stats) = (handler, tracer, Arc::clone(&stats));
-        // The original factory had handed out `recruited` seats already.
-        let mut next = CRASH_ACCOUNTS as u64 + state.sched.recruited;
-        move || {
-            next += 1;
-            make_seat(&handler, &tracer, &stats, seed, next)
-        }
-    };
-    ParallelCrawler::builder("crash")
-        .workers(workers)
-        .observability(&lab.obs)
-        .retry_stats(stats)
-        .recruit_with(factory, CRASH_MAX_ACCOUNTS)
-        .journal(journal)
-        .build_resumed(state, seats)
+    match resume {
+        Some(state) => builder.build_resumed(state, seats),
+        None => builder.build(seats),
+    }
 }
 
 /// Drive the full basic + enhanced methodology and reduce to
@@ -254,20 +240,23 @@ pub fn baseline(
     churn: f64,
     journal_path: Option<&Path>,
 ) -> CrashOutcome {
-    baseline_on(&crash_lab(cfg, churn), seed, workers, journal_path)
+    baseline_on(&crash_lab(cfg, churn), seed, workers, None, journal_path)
 }
 
-/// [`baseline`] over a caller-held lab (span-level inspection).
+/// [`baseline`] over a caller-held lab (span-level inspection), for a
+/// naive or an `adaptive` attacker.
 pub fn baseline_on(
     lab: &Lab,
     seed: u64,
     workers: usize,
+    adaptive: Option<AdaptiveStrategy>,
     journal_path: Option<&Path>,
 ) -> CrashOutcome {
     lab.obs.enable_tracing(CRASH_TRACE_CAP);
     let journal = journal_path
         .map(|p| Journal::create(p).expect("baseline journal").with_sync_every(CRASH_SYNC_EVERY));
-    let mut crawler = build_fresh(lab, seed, workers, journal).expect("baseline crawler");
+    let fleet = Fleet { seed, workers, adaptive };
+    let mut crawler = build(lab, fleet, None, journal).expect("baseline crawler");
     let (digest, found) = drive(lab, &mut crawler).expect("baseline attack");
     CrashOutcome {
         found,
@@ -284,8 +273,7 @@ pub fn baseline_on(
 #[allow(clippy::type_complexity)]
 fn attempt(
     lab: &Lab,
-    seed: u64,
-    workers: usize,
+    fleet: Fleet,
     path: &Path,
     metrics: &JournalMetrics,
     kill: Option<KillPlan>,
@@ -327,10 +315,7 @@ fn attempt(
             captcha_ms: 0,
         });
     }
-    let mut crawler = match &state {
-        Some(state) => build_resumed(lab, seed, workers, state, journal)?,
-        None => build_fresh(lab, seed, workers, Some(journal))?,
-    };
+    let mut crawler = build(lab, fleet, state.as_ref(), Some(journal))?;
     let (digest, found) = drive(lab, &mut crawler)?;
     Ok((digest, found, crawler.effort()))
 }
@@ -347,15 +332,17 @@ pub fn killed_and_resumed(
     kill: KillPlan,
     path: &Path,
 ) -> KillTrial {
-    killed_and_resumed_on(&crash_lab(cfg, churn), seed, workers, kill, path)
+    killed_and_resumed_on(&crash_lab(cfg, churn), seed, workers, None, kill, path)
 }
 
 /// [`killed_and_resumed`] over a caller-held lab (span-level
-/// inspection, or chaining several kills against one platform).
+/// inspection, or chaining several kills against one platform), for a
+/// naive or an `adaptive` attacker.
 pub fn killed_and_resumed_on(
     lab: &Lab,
     seed: u64,
     workers: usize,
+    adaptive: Option<AdaptiveStrategy>,
     kill: KillPlan,
     path: &Path,
 ) -> KillTrial {
@@ -380,7 +367,8 @@ pub fn killed_and_resumed_on(
     };
     let mut kill = Some(kill);
     loop {
-        match attempt(lab, seed, workers, path, &metrics, kill.take(), &mut trial) {
+        let fleet = Fleet { seed, workers, adaptive };
+        match attempt(lab, fleet, path, &metrics, kill.take(), &mut trial) {
             Ok((digest, found, effort)) => {
                 trial.completed_before_kill = trial.resumes == 0;
                 trial.outcome = CrashOutcome {

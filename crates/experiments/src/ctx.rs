@@ -1,7 +1,7 @@
 //! Execution context: caches one full attack per school so `all` runs
 //! each expensive crawl exactly once.
 
-use crate::runner::{full_attack, full_attack_with, AttackRun, Lab};
+use crate::runner::{full_attack_with, AttackRun, Lab};
 use hsp_obs::Registry;
 use hsp_synth::ScenarioConfig;
 use std::collections::HashMap;
@@ -17,20 +17,16 @@ pub struct SchoolRun {
 pub struct Ctx {
     /// Run the crawl over real loopback TCP instead of in-process.
     pub tcp: bool,
-    /// Worker threads for the crawl. 1 = the classic sequential
-    /// crawler; above that the in-process crawl runs on the parallel
-    /// scheduler (results are bit-identical either way across worker
-    /// counts — see `hsp_crawler::scheduler`).
+    /// Worker threads driving the crawl's account queues, in-process or
+    /// over TCP. 1 is the paper's crawl; results are bit-identical at
+    /// any worker count, only the modeled makespan shrinks (see
+    /// `hsp_crawler::scheduler`).
     pub workers: usize,
     /// One registry spanning every cached school run, so a metrics
     /// snapshot after an experiment covers all work it triggered.
     pub obs: Arc<Registry>,
     runs: HashMap<&'static str, SchoolRun>,
 }
-
-/// Seed for the parallel crawler's retry jitter streams (any fixed
-/// value works; this one matches the chaos gate's).
-const CRAWL_SEED: u64 = 0x9d5f_2013;
 
 impl Ctx {
     pub fn new(tcp: bool) -> Ctx {
@@ -61,13 +57,10 @@ impl Ctx {
         self.runs.entry(which).or_insert_with(|| {
             eprintln!("[ctx] generating + attacking {which} ...");
             let mut lab = Lab::facebook_with_registry(&Self::config_for(which), obs);
-            let run = if workers > 1 && !tcp {
-                let accounts = lab.paper_account_count();
-                let access = Box::new(lab.parallel_crawler(accounts, workers, "atk", CRAWL_SEED));
-                full_attack_with(&lab, access)
-            } else {
-                full_attack(&mut lab, tcp)
-            };
+            lab.serve_if(tcp);
+            let accounts = lab.paper_account_count();
+            let access = lab.crawler(accounts, "atk").workers(workers).tcp(tcp).boxed();
+            let run = full_attack_with(&lab, access);
             SchoolRun { lab, run }
         })
     }

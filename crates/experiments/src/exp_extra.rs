@@ -205,7 +205,8 @@ pub fn ablation_accounts(ctx: &mut Ctx) -> ExperimentReport {
     let mut points = Vec::new();
     for accounts in [1usize, 2, 4, 8] {
         let mut lab = Lab::facebook(&Ctx::config_for("HS2"));
-        let mut access = lab.crawler_mode(accounts, "acct", ctx.tcp);
+        lab.serve_if(ctx.tcp);
+        let mut access = lab.crawler(accounts, "acct").tcp(ctx.tcp).boxed();
         let config = lab.attack_config();
         let discovery = hsp_core::run_basic(access.as_mut(), &config).expect("basic");
         table.row(&[
@@ -336,7 +337,7 @@ pub fn verify_search(ctx: &mut Ctx) -> ExperimentReport {
     let sr = ctx.school_mut("HS1");
     let school = sr.lab.scenario.school;
     // Use many accounts so the union approaches the full searchable pool.
-    let mut access = sr.lab.crawler(8, "verify");
+    let mut access = sr.lab.crawler(8, "verify").boxed();
     let seeds = access.collect_seeds(school).expect("seeds");
     let net = &sr.lab.scenario.network;
     let today = net.today;
@@ -461,7 +462,8 @@ pub fn arms_race(ctx: &mut Ctx) -> ExperimentReport {
                 &Ctx::config_for("TINY"),
                 DefenseConfig { strength, ..DefenseConfig::default() },
             );
-            let mut access = lab.arms_race_crawler(2, "arms", SEED, adaptive);
+            let mut access =
+                lab.crawler(2, "arms").seed(SEED).max_accounts(64).adaptive(adaptive).boxed();
             let config = lab.attack_config();
             let t = config.school_size_estimate as usize;
             let outcome = run_basic(access.as_mut(), &config).and_then(|discovery| {
@@ -486,7 +488,7 @@ pub fn arms_race(ctx: &mut Ctx) -> ExperimentReport {
             let effort = access.effort();
             let (eligible, flagged) = lab.platform.defense.frontier_counts(SESSION_FLOOR);
             let detection_pm = (flagged * 1_000).checked_div(eligible).unwrap_or(0);
-            let virt_min = lab.platform.clock.now_ms() as f64 / 60_000.0;
+            let virt_min = access.virtual_elapsed_ms() as f64 / 60_000.0;
             let found = outcome.as_ref().map(|p| p.found).unwrap_or(0);
             table.row(&[
                 strength.label().into(),
@@ -553,12 +555,13 @@ pub fn freshness(ctx: &mut Ctx) -> ExperimentReport {
     let mut points = Vec::new();
     for (pace_label, pace_ms) in [("paper", 1_500u64), ("slow", 6_000u64)] {
         let pace = Politeness { sleep_ms_between_requests: pace_ms, ..Politeness::default() };
+        let paced = |lab: &Lab| lab.crawler(2, "fresh").seed(SEED).politeness(pace).boxed();
         // Frozen-world baseline for this pacing: the yardstick the
         // zero-rate live cell must reproduce byte-for-byte.
         let (frozen_digest, frozen_effort, frozen_found) = {
             let lab = Lab::facebook(&cfg);
             lab.obs.enable_tracing(16_384);
-            let run = full_attack_with(&lab, lab.paced_crawler(2, "fresh", SEED, pace));
+            let run = full_attack_with(&lab, paced(&lab));
             let audit = audit_trace(&lab.obs, &run.effort_total);
             assert!(audit.closed(), "frozen baseline audit: {:#?}", audit.unexplained);
             let found = eval_found(&lab, &run);
@@ -567,7 +570,7 @@ pub fn freshness(ctx: &mut Ctx) -> ExperimentReport {
         for factor in [0.0f64, 1.0, 4.0, 16.0] {
             let lab = Lab::facebook_live(&cfg, factor);
             lab.obs.enable_tracing(16_384);
-            let run = full_attack_with(&lab, lab.paced_crawler(2, "fresh", SEED, pace));
+            let run = full_attack_with(&lab, paced(&lab));
             let audit = audit_trace(&lab.obs, &run.effort_total);
             assert!(
                 audit.closed(),
@@ -582,7 +585,7 @@ pub fn freshness(ctx: &mut Ctx) -> ExperimentReport {
                 assert_eq!(found, frozen_found, "zero-rate result drifted");
             }
             let applied = lab.platform.mutations.applied_count() as u64;
-            let virt_min = lab.platform.clock.now_ms() as f64 / 60_000.0;
+            let virt_min = run.access.virtual_elapsed_ms() as f64 / 60_000.0;
             let effort = &run.effort_total;
             table.row(&[
                 format!("x{factor:.0}"),

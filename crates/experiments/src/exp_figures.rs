@@ -76,8 +76,7 @@ pub fn fig2(ctx: &mut Ctx) -> ExperimentReport {
             let sr = ctx.school_mut(school);
             let first_seeds: std::collections::HashSet<_> =
                 sr.run.discovery.seeds.iter().copied().collect();
-            let tcp = false;
-            let mut second = sr.lab.crawler_mode(4, "second", tcp);
+            let mut second = sr.lab.crawler(4, "second").boxed();
             let seeds2 = second.collect_seeds(sr.lab.scenario.school).expect("second crawl");
             let mut test_users = Vec::new();
             for &u in &seeds2 {
@@ -231,7 +230,7 @@ pub fn fig3(ctx: &mut Ctx) -> ExperimentReport {
             .filter(|&u| policy.stranger_view(&lab.scenario.network, u).is_minimal())
             .collect();
         regen_minimal.sort_unstable();
-        let mut access = lab.crawler(2, "regen");
+        let mut access = lab.crawler(2, "regen").boxed();
         for n in [1u32, 2, 3] {
             let run = run_coppaless_heuristic(
                 access.as_mut(),
@@ -296,8 +295,8 @@ pub fn fig4(ctx: &mut Ctx) -> ExperimentReport {
     // Countermeasure lab: same world, reverse lookup disabled.
     let mut lab_without =
         Lab::from_scenario(scenario, Arc::new(FacebookPolicy::without_reverse_lookup()));
-    let tcp = ctx.tcp;
-    let mut access_without = lab_without.crawler_mode(2, "cm", tcp);
+    lab_without.serve_if(ctx.tcp);
+    let mut access_without = lab_without.crawler(2, "cm").tcp(ctx.tcp).boxed();
     let config = lab_without.attack_config();
     let discovery_without =
         run_basic(access_without.as_mut(), &config).expect("countermeasure basic");

@@ -162,7 +162,8 @@ pub fn gplus_attack(ctx: &mut Ctx) -> ExperimentReport {
     // instead of symmetric friend lists (Appendix A's asymmetric links).
     {
         let mut lab = Lab::from_scenario(scenario.clone(), Arc::new(GooglePlusPolicy::new()));
-        let mut access = lab.crawler_mode(2, "gpc", ctx.tcp);
+        lab.serve_if(ctx.tcp);
+        let mut access = lab.crawler(2, "gpc").tcp(ctx.tcp).boxed();
         let config = lab.attack_config();
         let d = hsp_core::run_basic_circles(access.as_mut(), &config).expect("circles attack");
         let t = config.school_size_estimate as usize;

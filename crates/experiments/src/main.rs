@@ -2,10 +2,10 @@
 //!
 //! Regenerates the paper's tables and figures against the synthetic
 //! substrate. `--tcp` runs every crawl over real loopback HTTP;
-//! `--workers N` drives in-process crawls with the deterministic
-//! parallel scheduler on `N` threads (identical results, less
-//! wall-clock); `--json <dir>` additionally writes machine-readable
-//! results.
+//! `--workers N` drives the per-school crawls' account queues on `N`
+//! threads, in-process or over TCP (identical results, a shorter
+//! modeled makespan); `--json <dir>` additionally writes
+//! machine-readable results.
 //! After each experiment a full metrics snapshot (counters, gauges,
 //! latency quantiles, phase timings, recent events) is written to
 //! `results/metrics_<experiment>.json`.

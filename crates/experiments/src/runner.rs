@@ -9,10 +9,10 @@ use hsp_core::{
     evaluate, run_basic, run_enhanced, AttackConfig, Discovery, EnhanceOptions, Enhanced,
     EvalPoint, GroundTruth,
 };
-use hsp_crawler::{AccountSeat, AdaptiveStrategy, Crawler, OsnAccess, ParallelCrawler, Politeness};
+use hsp_crawler::{AccountSeat, AdaptiveStrategy, OsnAccess, ParallelCrawler, Politeness};
 use hsp_http::{
-    ChaosPlan, ChaosStats, ChaosTransport, Client, DirectExchange, Handler, ResilientExchange,
-    RetryPolicy, RetryStats, Server, ServerConfig,
+    ChaosPlan, ChaosStats, ChaosTransport, Client, DirectExchange, Exchange, Handler,
+    ResilientExchange, RetryPolicy, RetryStats, Server, ServerConfig,
 };
 use hsp_obs::{Registry, SpanGuard, VirtualClock};
 use hsp_platform::{DefenseConfig, FaultPlan, MutationPlan, Platform, PlatformConfig};
@@ -48,8 +48,8 @@ impl Lab {
     }
 
     /// [`Lab::facebook`] with a hostile platform: the given fault plan
-    /// is armed on an otherwise-default configuration. Pair it with
-    /// [`Lab::resilient_crawler`] — a plain crawler will not survive.
+    /// is armed on an otherwise-default configuration. Every
+    /// [`Lab::crawler`] survives it.
     pub fn facebook_chaotic(cfg: &ScenarioConfig, plan: FaultPlan) -> Lab {
         Self::facebook_configured(cfg, PlatformConfig { faults: plan, ..PlatformConfig::default() })
     }
@@ -203,327 +203,35 @@ impl Lab {
         }
     }
 
-    /// An in-process crawler with `accounts` fake accounts.
-    pub fn crawler(&self, accounts: usize, label: &str) -> Box<dyn OsnAccess> {
-        let exchanges: Vec<DirectExchange> =
-            (0..accounts).map(|_| DirectExchange::new(self.handler.clone())).collect();
-        Box::new(
-            Crawler::with_observability(exchanges, label, Politeness::default(), &self.obs)
-                .expect("crawler setup"),
-        )
-    }
-
-    /// An in-process crawler hardened for a chaotic platform: every
-    /// account's exchange is wrapped in a [`ResilientExchange`]
-    /// (deadlines, classification, jittered backoff) sharing the
-    /// platform's virtual clock and one retry-stats block, and the
-    /// crawler recruits replacement accounts on suspension (the paper's
-    /// 2→4→8 escalation). Fully deterministic for a fixed `seed`.
-    pub fn resilient_crawler(&self, accounts: usize, label: &str, seed: u64) -> Box<dyn OsnAccess> {
-        let clock = Arc::clone(&self.platform.clock);
-        let stats = Arc::new(RetryStats::default());
-        let wrap = {
-            let handler = self.handler.clone();
-            let clock = Arc::clone(&clock);
-            let stats = Arc::clone(&stats);
-            let tracer = Arc::clone(self.obs.tracer());
-            move |i: u64| {
-                ResilientExchange::with_stats(
-                    DirectExchange::new(handler.clone()),
-                    RetryPolicy::seeded(seed ^ i),
-                    Arc::clone(&clock),
-                    Arc::clone(&stats),
-                )
-                .with_tracer(Arc::clone(&tracer))
-            }
-        };
-        let exchanges: Vec<_> = (0..accounts as u64).map(&wrap).collect();
-        let mut next = accounts as u64;
-        let factory = {
-            let wrap = wrap;
-            move || {
-                next += 1;
-                wrap(next)
-            }
-        };
-        Box::new(
-            Crawler::builder(label)
-                .observability(&self.obs)
-                .clock(clock)
-                .retry_stats(stats)
-                .recruit_with(factory, 8)
-                .build(exchanges)
-                .expect("resilient crawler setup"),
-        )
-    }
-
-    /// [`Lab::resilient_crawler`] with caller-specified politeness —
-    /// the crawl-duration axis of the freshness experiment: slower
-    /// pacing means more virtual time elapses mid-crawl, so a live
-    /// world drifts further from what the crawl has already recorded.
-    pub fn paced_crawler(
-        &self,
-        accounts: usize,
-        label: &str,
-        seed: u64,
-        politeness: Politeness,
-    ) -> Box<dyn OsnAccess> {
-        let clock = Arc::clone(&self.platform.clock);
-        let stats = Arc::new(RetryStats::default());
-        let wrap = {
-            let handler = self.handler.clone();
-            let clock = Arc::clone(&clock);
-            let stats = Arc::clone(&stats);
-            let tracer = Arc::clone(self.obs.tracer());
-            move |i: u64| {
-                ResilientExchange::with_stats(
-                    DirectExchange::new(handler.clone()),
-                    RetryPolicy::seeded(seed ^ i),
-                    Arc::clone(&clock),
-                    Arc::clone(&stats),
-                )
-                .with_tracer(Arc::clone(&tracer))
-            }
-        };
-        let exchanges: Vec<_> = (0..accounts as u64).map(&wrap).collect();
-        let mut next = accounts as u64;
-        let factory = {
-            let wrap = wrap;
-            move || {
-                next += 1;
-                wrap(next)
-            }
-        };
-        Box::new(
-            Crawler::builder(label)
-                .observability(&self.obs)
-                .clock(clock)
-                .retry_stats(stats)
-                .politeness(politeness)
-                .recruit_with(factory, 8)
-                .build(exchanges)
-                .expect("paced crawler setup"),
-        )
-    }
-
-    /// The arms-race attacker: [`Lab::resilient_crawler`] with a deeper
-    /// recruitment bench (the sybil answer to suspensions is more
-    /// sybils — cap 64 instead of 8) and, optionally, the adaptive
-    /// evasion strategy (seeded politeness jitter, account warm-up,
-    /// decoy mimicry). With `adaptive = None` the request stream is
-    /// identical to [`Lab::resilient_crawler`]'s, so an
-    /// [`hsp_platform::DetectorStrength::Off`] platform reproduces the
-    /// baseline attack bit-for-bit.
-    pub fn arms_race_crawler(
-        &self,
-        accounts: usize,
-        label: &str,
-        seed: u64,
-        adaptive: Option<AdaptiveStrategy>,
-    ) -> Box<dyn OsnAccess> {
-        let clock = Arc::clone(&self.platform.clock);
-        let stats = Arc::new(RetryStats::default());
-        let wrap = {
-            let handler = self.handler.clone();
-            let clock = Arc::clone(&clock);
-            let stats = Arc::clone(&stats);
-            let tracer = Arc::clone(self.obs.tracer());
-            move |i: u64| {
-                ResilientExchange::with_stats(
-                    DirectExchange::new(handler.clone()),
-                    RetryPolicy::seeded(seed ^ i),
-                    Arc::clone(&clock),
-                    Arc::clone(&stats),
-                )
-                .with_tracer(Arc::clone(&tracer))
-            }
-        };
-        let exchanges: Vec<_> = (0..accounts as u64).map(&wrap).collect();
-        let mut next = accounts as u64;
-        let factory = {
-            let wrap = wrap;
-            move || {
-                next += 1;
-                wrap(next)
-            }
-        };
-        let mut builder = Crawler::builder(label)
-            .observability(&self.obs)
-            .clock(clock)
-            .retry_stats(stats)
-            .recruit_with(factory, 64);
-        if let Some(strategy) = adaptive {
-            builder = builder.adaptive(strategy);
+    /// Start the loopback server if `tcp` is set and none is running
+    /// yet (what a `.tcp(true)` crawler connects to).
+    pub fn serve_if(&mut self, tcp: bool) {
+        if tcp && self.server.is_none() {
+            self.serve().expect("bind loopback server");
         }
-        Box::new(builder.build(exchanges).expect("arms-race crawler setup"))
     }
 
-    /// [`Lab::resilient_crawler`] with a deterministic [`ChaosTransport`]
-    /// spliced *beneath* the retry layer: every account's wire is
-    /// independently hostile (seeded per account from `seed`), all
-    /// injections fold into one shared [`ChaosStats`] audit block, and
-    /// the shared [`RetryStats`] is returned alongside so a soak can
-    /// reconcile what the transport destroyed against what the retry
-    /// layer absorbed.
-    #[allow(clippy::type_complexity)]
-    pub fn resilient_chaos_crawler(
-        &self,
-        accounts: usize,
-        label: &str,
-        seed: u64,
-        plan: &ChaosPlan,
-    ) -> (
-        Crawler<ResilientExchange<ChaosTransport<DirectExchange>>>,
-        Arc<ChaosStats>,
-        Arc<RetryStats>,
-    ) {
-        let handler = self.handler.clone();
-        self.chaos_crawler_with(accounts, label, seed, plan, move || {
-            DirectExchange::new(handler.clone())
-        })
-    }
-
-    /// [`Lab::resilient_chaos_crawler`] over real loopback TCP
-    /// (requires [`Lab::serve`] / [`Lab::serve_hardened`]): chaos on the
-    /// wire *and* a real overloadable server underneath.
-    #[allow(clippy::type_complexity)]
-    pub fn tcp_chaos_crawler(
-        &self,
-        accounts: usize,
-        label: &str,
-        seed: u64,
-        plan: &ChaosPlan,
-    ) -> (Crawler<ResilientExchange<ChaosTransport<Client>>>, Arc<ChaosStats>, Arc<RetryStats>)
-    {
-        let addr = self.server.as_ref().expect("call serve() before tcp_chaos_crawler()").addr();
-        self.chaos_crawler_with(accounts, label, seed, plan, move || Client::new(addr))
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn chaos_crawler_with<T: hsp_http::Exchange + 'static>(
-        &self,
-        accounts: usize,
-        label: &str,
-        seed: u64,
-        plan: &ChaosPlan,
-        transport: impl Fn() -> T + 'static,
-    ) -> (Crawler<ResilientExchange<ChaosTransport<T>>>, Arc<ChaosStats>, Arc<RetryStats>) {
-        let clock = Arc::clone(&self.platform.clock);
-        let chaos_stats = Arc::new(ChaosStats::default());
-        let retry_stats = Arc::new(RetryStats::default());
-        let wrap = {
-            let plan = plan.clone();
-            let clock = Arc::clone(&clock);
-            let chaos_stats = Arc::clone(&chaos_stats);
-            let retry_stats = Arc::clone(&retry_stats);
-            let tracer = Arc::clone(self.obs.tracer());
-            move |i: u64| {
-                let chaotic = ChaosTransport::with_stats(
-                    transport(),
-                    plan.with_seed(plan.seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-                    Arc::clone(&clock),
-                    Arc::clone(&chaos_stats),
-                )
-                .with_tracer(Arc::clone(&tracer));
-                ResilientExchange::with_stats(
-                    chaotic,
-                    RetryPolicy::seeded(seed ^ i),
-                    Arc::clone(&clock),
-                    Arc::clone(&retry_stats),
-                )
-                .with_tracer(Arc::clone(&tracer))
-            }
-        };
-        let exchanges: Vec<_> = (0..accounts as u64).map(&wrap).collect();
-        let mut next = accounts as u64;
-        let factory = {
-            let wrap = wrap;
-            move || {
-                next += 1;
-                wrap(next)
-            }
-        };
-        let crawler = Crawler::builder(label)
-            .observability(&self.obs)
-            .clock(clock)
-            .retry_stats(Arc::clone(&retry_stats))
-            .recruit_with(factory, 8)
-            .build(exchanges)
-            .expect("chaos crawler setup");
-        (crawler, chaos_stats, retry_stats)
-    }
-
-    /// The parallel attack crawler: the same resilient per-account
-    /// transport as [`Lab::resilient_crawler`], but driven by the
-    /// work-stealing scheduler with `workers` OS threads. Every account
-    /// seat carries its *own* virtual clock (backoff/deadline time is
-    /// per-account state, so one account's retries never shift
-    /// another's timeline), and recruitment stays available for
-    /// suspension failover. Results are bit-identical at any `workers`
-    /// value; only wall-clock changes.
-    pub fn parallel_crawler(
-        &self,
-        accounts: usize,
-        workers: usize,
-        label: &str,
-        seed: u64,
-    ) -> ParallelCrawler<ResilientExchange<DirectExchange>> {
-        let stats = Arc::new(RetryStats::default());
-        let seat = {
-            let handler = self.handler.clone();
-            let stats = Arc::clone(&stats);
-            let tracer = Arc::clone(self.obs.tracer());
-            move |i: u64| {
-                let clock = VirtualClock::shared();
-                AccountSeat {
-                    exchange: ResilientExchange::with_stats(
-                        DirectExchange::new(handler.clone()),
-                        RetryPolicy::seeded(seed ^ i),
-                        Arc::clone(&clock),
-                        Arc::clone(&stats),
-                    )
-                    .with_tracer(Arc::clone(&tracer)),
-                    clock: Some(clock),
-                }
-            }
-        };
-        let seats: Vec<_> = (0..accounts as u64).map(&seat).collect();
-        let mut next = accounts as u64;
-        let factory = {
-            let seat = seat;
-            move || {
-                next += 1;
-                seat(next)
-            }
-        };
-        ParallelCrawler::builder(label)
-            .workers(workers)
-            .observability(&self.obs)
-            .retry_stats(stats)
-            .recruit_with(factory, 8)
-            .build(seats)
-            .expect("parallel crawler setup")
-    }
-
-    /// A crawler over real loopback TCP (requires [`Lab::serve`]).
-    pub fn tcp_crawler(&self, accounts: usize, label: &str) -> Box<dyn OsnAccess> {
-        let addr = self.server.as_ref().expect("call serve() before tcp_crawler()").addr();
-        let exchanges: Vec<Client> = (0..accounts).map(|_| Client::new(addr)).collect();
-        Box::new(
-            Crawler::with_observability(exchanges, label, Politeness::default(), &self.obs)
-                .expect("tcp crawler setup"),
-        )
-    }
-
-    /// A crawler honouring `tcp` (serving lazily on first use).
-    pub fn crawler_mode(&mut self, accounts: usize, label: &str, tcp: bool) -> Box<dyn OsnAccess> {
-        if tcp {
-            if self.server.is_none() {
-                self.serve().expect("bind loopback server");
-            }
-            self.tcp_crawler(accounts, label)
-        } else {
-            self.crawler(accounts, label)
+    /// The attacker's crawler, to be configured and built: `accounts`
+    /// fake accounts on the one crawl engine ([`ParallelCrawler`]).
+    /// Every account is a seat with its own virtual clock and a
+    /// [`ResilientExchange`] (retry jitter seeded `seed ^ i`) over the
+    /// in-process handler, and suspended accounts are replaced by
+    /// recruits (the paper's 2→4→8 escalation). Defaults: seed 0, one
+    /// worker (the paper's crawl), default politeness, naive pacing, at
+    /// most 8 accounts, no transport chaos, in-process. Deterministic
+    /// for a fixed seed and identical at any worker count.
+    pub fn crawler(&self, accounts: usize, label: &str) -> CrawlerSpec<'_> {
+        CrawlerSpec {
+            lab: self,
+            accounts,
+            label: label.to_string(),
+            seed: 0,
+            workers: 1,
+            politeness: Politeness::default(),
+            adaptive: None,
+            max_accounts: 8,
+            chaos: None,
+            tcp: false,
         }
     }
 
@@ -557,6 +265,146 @@ impl Lab {
     }
 }
 
+/// The crawler a [`Lab`] builds: every seat's transport is the retry
+/// layer over a boxed stack — optionally a [`ChaosTransport`], over
+/// [`DirectExchange`] or a loopback [`Client`].
+pub type LabCrawler = ParallelCrawler<ResilientExchange<Box<dyn Exchange + Send>>>;
+
+/// A built lab crawler plus the audit blocks every seat reports into.
+pub struct Attacker {
+    pub crawler: LabCrawler,
+    /// What the seats' retry layers absorbed (retries, refusals, sheds).
+    pub retry_stats: Arc<RetryStats>,
+    /// What the seats' chaos transports injected (all zero without a
+    /// chaos plan).
+    pub chaos_stats: Arc<ChaosStats>,
+}
+
+/// A lab crawler's settings; see [`Lab::crawler`].
+pub struct CrawlerSpec<'a> {
+    lab: &'a Lab,
+    accounts: usize,
+    label: String,
+    seed: u64,
+    workers: usize,
+    politeness: Politeness,
+    adaptive: Option<AdaptiveStrategy>,
+    max_accounts: usize,
+    chaos: Option<ChaosPlan>,
+    tcp: bool,
+}
+
+impl CrawlerSpec<'_> {
+    /// Seed of the seats' retry jitter streams.
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// OS threads driving account queues (wall-clock only, never
+    /// results).
+    pub fn workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
+        self
+    }
+
+    /// Pacing — the crawl-duration axis of the freshness experiment.
+    pub fn politeness(mut self, politeness: Politeness) -> Self {
+        self.politeness = politeness;
+        self
+    }
+
+    /// The arms race's adaptive evasion strategy (`None` = naive).
+    pub fn adaptive(mut self, adaptive: Option<AdaptiveStrategy>) -> Self {
+        self.adaptive = adaptive;
+        self
+    }
+
+    /// Fleet cap for suspension failover (the arms race's sybil answer
+    /// to suspensions is a deeper bench: 64).
+    pub fn max_accounts(mut self, max_accounts: usize) -> Self {
+        self.max_accounts = max_accounts;
+        self
+    }
+
+    /// Splice a deterministic [`ChaosTransport`] beneath every seat's
+    /// retry layer, seeded per account from `plan.seed`.
+    pub fn chaos(mut self, plan: &ChaosPlan) -> Self {
+        self.chaos = Some(plan.clone());
+        self
+    }
+
+    /// Crawl over real loopback TCP (needs [`Lab::serve`] or
+    /// [`Lab::serve_if`] first).
+    pub fn tcp(mut self, tcp: bool) -> Self {
+        self.tcp = tcp;
+        self
+    }
+
+    /// Sign up and log in the fleet.
+    pub fn build(self) -> Attacker {
+        let lab = self.lab;
+        let wire: Box<dyn Fn() -> Box<dyn Exchange + Send>> = if self.tcp {
+            let addr = lab.server.as_ref().expect("call serve() before a TCP crawler").addr();
+            Box::new(move || Box::new(Client::new(addr)))
+        } else {
+            let handler = lab.handler.clone();
+            Box::new(move || Box::new(DirectExchange::new(handler.clone())))
+        };
+        let retry_stats = Arc::new(RetryStats::default());
+        let chaos_stats = Arc::new(ChaosStats::default());
+        let seat = {
+            let (retry_stats, chaos_stats) = (Arc::clone(&retry_stats), Arc::clone(&chaos_stats));
+            let tracer = Arc::clone(lab.obs.tracer());
+            let (chaos, seed) = (self.chaos, self.seed);
+            move |i: u64| {
+                let clock = VirtualClock::shared();
+                let mut transport = wire();
+                if let Some(plan) = &chaos {
+                    let plan = plan.with_seed(plan.seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                    let chaotic = ChaosTransport::with_stats(
+                        transport,
+                        plan,
+                        Arc::clone(&clock),
+                        Arc::clone(&chaos_stats),
+                    );
+                    transport = Box::new(chaotic.with_tracer(Arc::clone(&tracer)));
+                }
+                let exchange = ResilientExchange::with_stats(
+                    transport,
+                    RetryPolicy::seeded(seed ^ i),
+                    Arc::clone(&clock),
+                    Arc::clone(&retry_stats),
+                )
+                .with_tracer(Arc::clone(&tracer));
+                AccountSeat { exchange, clock: Some(clock) }
+            }
+        };
+        let seats: Vec<_> = (0..self.accounts as u64).map(&seat).collect();
+        let mut next = self.accounts as u64;
+        let factory = move || {
+            next += 1;
+            seat(next)
+        };
+        let mut builder = ParallelCrawler::builder(&self.label)
+            .workers(self.workers)
+            .politeness(self.politeness)
+            .observability(&lab.obs)
+            .retry_stats(Arc::clone(&retry_stats))
+            .recruit_with(factory, self.max_accounts);
+        if let Some(strategy) = self.adaptive {
+            builder = builder.adaptive(strategy);
+        }
+        let crawler = builder.build(seats).expect("crawler setup");
+        Attacker { crawler, retry_stats, chaos_stats }
+    }
+
+    /// [`CrawlerSpec::build`], boxed for the methodology.
+    pub fn boxed(self) -> Box<dyn OsnAccess> {
+        Box::new(self.build().crawler)
+    }
+}
+
 /// A basic + enhanced attack run with its artifacts.
 pub struct AttackRun {
     pub config: AttackConfig,
@@ -567,15 +415,16 @@ pub struct AttackRun {
     pub access: Box<dyn OsnAccess>,
 }
 
-/// Run basic then enhanced(+filtering) with the paper's parameters.
+/// Run basic then enhanced(+filtering) with the paper's parameters and
+/// account count, over loopback TCP when `tcp` is set.
 pub fn full_attack(lab: &mut Lab, tcp: bool) -> AttackRun {
-    let accounts = lab.paper_account_count();
-    let access = lab.crawler_mode(accounts, "atk", tcp);
+    lab.serve_if(tcp);
+    let access = lab.crawler(lab.paper_account_count(), "atk").tcp(tcp).boxed();
     full_attack_with(lab, access)
 }
 
-/// [`full_attack`] over a caller-supplied access layer (e.g. a
-/// [`Lab::resilient_crawler`] for chaos runs).
+/// [`full_attack`] over a caller-supplied access layer (e.g. a seeded
+/// [`Lab::crawler`] for chaos runs).
 pub fn full_attack_with(lab: &Lab, mut access: Box<dyn OsnAccess>) -> AttackRun {
     let config = lab.attack_config();
     let discovery = {
@@ -649,15 +498,11 @@ mod tests {
     fn tcp_and_direct_crawlers_agree_on_seeds() {
         let mut lab = Lab::facebook(&ScenarioConfig::tiny());
         let school = lab.scenario.school;
-        let mut direct = lab.crawler(2, "d");
-        let direct_seeds = direct.collect_seeds(school).unwrap();
+        let direct_seeds = lab.crawler(2, "d").boxed().collect_seeds(school).unwrap();
         lab.serve().unwrap();
-        let mut tcp = lab.tcp_crawler(2, "t");
-        let tcp_seeds = tcp.collect_seeds(school).unwrap();
-        // Account-keyed sampling depends on account *index*, which both
-        // crawlers share (fresh platform sessions), so the seed sets —
-        // after the union across two accounts — must agree... they use
-        // different account names but the same indices.
+        let tcp_seeds = lab.crawler(2, "t").tcp(true).boxed().collect_seeds(school).unwrap();
+        // Account-keyed sampling depends on account *index*; each crawl
+        // gets fresh ones but the union across two accounts agrees.
         assert_eq!(direct_seeds, tcp_seeds);
     }
 }

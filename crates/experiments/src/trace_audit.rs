@@ -403,7 +403,7 @@ mod tests {
     fn clean_attack_audit_closes() {
         let lab = Lab::facebook(&ScenarioConfig::tiny());
         lab.obs.enable_tracing(4096);
-        let run = full_attack_with(&lab, lab.resilient_crawler(3, "audit", 7));
+        let run = full_attack_with(&lab, lab.crawler(3, "audit").seed(7).boxed());
         let audit = audit_trace(&lab.obs, &run.effort_total);
         assert!(audit.closed(), "unexplained: {:#?}", audit.unexplained);
         assert!(audit.roots > 0 && audit.attempts >= audit.roots);
@@ -422,7 +422,7 @@ mod tests {
         };
         let lab = Lab::facebook_configured(&ScenarioConfig::tiny(), config);
         lab.obs.enable_tracing(16384);
-        let run = full_attack_with(&lab, lab.resilient_crawler(3, "audit-chaos", 23));
+        let run = full_attack_with(&lab, lab.crawler(3, "audit-chaos").seed(23).boxed());
         let audit = audit_trace(&lab.obs, &run.effort_total);
         assert!(audit.closed(), "unexplained: {:#?}", audit.unexplained);
         assert!(audit.retries_traced > 0, "chaos run should have traced retries");
@@ -438,7 +438,7 @@ mod tests {
     fn live_world_attack_audit_closes() {
         let lab = Lab::facebook_live(&ScenarioConfig::tiny(), 16.0);
         lab.obs.enable_tracing(16384);
-        let run = full_attack_with(&lab, lab.resilient_crawler(3, "audit-live", 7));
+        let run = full_attack_with(&lab, lab.crawler(3, "audit-live").seed(7).boxed());
         let audit = audit_trace(&lab.obs, &run.effort_total);
         assert!(audit.closed(), "unexplained: {:#?}", audit.unexplained);
         assert!(audit.mutations_traced > 0, "x16 churn should apply mutations mid-crawl");
@@ -453,7 +453,7 @@ mod tests {
     fn audit_flags_cooked_ledger() {
         let lab = Lab::facebook(&ScenarioConfig::tiny());
         lab.obs.enable_tracing(4096);
-        let run = full_attack_with(&lab, lab.resilient_crawler(3, "audit-bad", 7));
+        let run = full_attack_with(&lab, lab.crawler(3, "audit-bad").seed(7).boxed());
         let mut cooked = run.effort_total;
         cooked.retry_requests += 5;
         cooked.captcha_challenges += 1;

@@ -50,6 +50,26 @@ pub trait Exchange {
     fn restore_transport_state(&mut self, _state: &TransportState) {}
 }
 
+/// A boxed transport is a transport, so one crawler type can sit over
+/// any stack chosen at run time.
+impl<E: Exchange + ?Sized> Exchange for Box<E> {
+    fn exchange(&mut self, req: Request) -> Result<Response> {
+        (**self).exchange(req)
+    }
+
+    fn clear_session(&mut self) {
+        (**self).clear_session()
+    }
+
+    fn transport_state(&self) -> TransportState {
+        (**self).transport_state()
+    }
+
+    fn restore_transport_state(&mut self, state: &TransportState) {
+        (**self).restore_transport_state(state)
+    }
+}
+
 /// A blocking TCP client bound to one server address.
 ///
 /// Maintains a single keep-alive connection (reconnecting on failure)

@@ -52,12 +52,13 @@ pub const H_SESSION_EXPIRED: &str = "x-session-expired";
 pub const H_SIMULATED_FAULT: &str = "x-simulated-fault";
 
 /// The requester's current virtual time in milliseconds. Attached by
-/// the crawler so the platform's mutation engine can serve the world
-/// *as of the account's own timeline*: under the parallel scheduler
-/// every seat keeps its own clock and the shared platform clock never
-/// advances, so request-carried time is the only representation that
-/// replays bit-identically at any worker count. Absent the header, the
-/// platform falls back to its own clock.
+/// the crawler so the platform serves the world, and times the
+/// session for its sybil detector, *as of the account's own timeline*:
+/// every crawler seat keeps its own clock and the shared platform
+/// clock never advances, so request-carried time is the only
+/// representation that replays bit-identically at any worker count.
+/// [`ResilientExchange`] moves the stamp forward on each retry. Absent
+/// the header, the platform falls back to its own clock.
 pub const H_VIRTUAL_NOW: &str = "x-virtual-now-ms";
 
 /// Monotone per-exchange attempt sequence number, stamped on every
@@ -479,6 +480,15 @@ impl<E: Exchange> Exchange for ResilientExchange<E> {
             attempt += 1;
             let begin_ms = self.clock.now_ms();
             let mut req_attempt = req.clone();
+            // A stamped request's retries arrive at their own time: the
+            // stamp moves forward by the backoff and latency absorbed
+            // since the first attempt. First attempts go out untouched.
+            let stamp = (attempt > 1)
+                .then(|| req.headers.get(H_VIRTUAL_NOW).and_then(|v| v.parse::<u64>().ok()))
+                .flatten();
+            if let Some(stamp) = stamp {
+                req_attempt.headers.set(H_VIRTUAL_NOW, (stamp + begin_ms - start_ms).to_string());
+            }
             if let Some(seq) = self.attempt_seq.as_mut() {
                 req_attempt.headers.set(H_ATTEMPT_SEQ, seq.to_string());
                 *seq += 1;
@@ -652,6 +662,25 @@ mod tests {
         ex.exchange(Request::get("/x")).unwrap();
         assert!(ex.clock().now_ms() >= 30_000, "waited {} ms", ex.clock().now_ms());
         assert_eq!(ex.stats().rate_limited(), 1);
+    }
+
+    #[test]
+    fn retry_carries_the_later_virtual_stamp() {
+        let rate_limited =
+            Response::error(Status::TOO_MANY_REQUESTS, "slow down").header(H_RETRY_AFTER, "30");
+        let script = Script::new(vec![Ok(rate_limited), Ok(Response::text("ok"))]);
+        let mut ex = resilient(script);
+        ex.exchange(Request::get("/x").header(H_VIRTUAL_NOW, "1000")).unwrap();
+        let waited = ex.clock().now_ms();
+        assert!(waited >= 30_000);
+        let stamps: Vec<&str> =
+            ex.inner.seen.iter().map(|r| r.headers.get(H_VIRTUAL_NOW).unwrap()).collect();
+        assert_eq!(stamps, ["1000".to_string(), (1_000 + waited).to_string()]);
+        // Unstamped requests stay unstamped on retry.
+        let script = Script::new(vec![Ok(Response::error(Status::SERVICE_UNAVAILABLE, "x"))]);
+        let mut ex = resilient(script);
+        ex.exchange(Request::get("/x")).unwrap();
+        assert!(ex.inner.seen.iter().all(|r| !r.headers.contains(H_VIRTUAL_NOW)));
     }
 
     #[test]

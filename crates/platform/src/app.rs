@@ -144,7 +144,7 @@ impl Platform {
             // verdict lets the request through but stamps the solve
             // cost on whatever comes back — including fault-injected
             // responses, since a challenged session pays on every page.
-            let verdict = platform.defense.observe(route, req, platform.clock.now_ms());
+            let verdict = platform.defense.observe(route, req, || platform.clock.now_ms());
             let outcome = match verdict {
                 Verdict::Suspend => "suspend",
                 Verdict::Throttle { .. } => "throttle",
@@ -480,9 +480,9 @@ impl Platform {
     /// The world snapshot this request must be served from, or `None`
     /// when the world is frozen (the default) and handlers take their
     /// original byte-identical paths. Live requests are resolved at the
-    /// seat clock they carry in `x-virtual-now-ms` — the parallel
-    /// crawler's per-account timelines — falling back to the shared
-    /// platform clock for sequential or header-less clients.
+    /// seat clock they carry in `x-virtual-now-ms` — the crawler's
+    /// per-account timelines — falling back to the platform clock for
+    /// header-less clients.
     fn live_world(&self, req: &Request) -> Option<Arc<WorldGen>> {
         if !self.mutations.is_live() {
             return None;

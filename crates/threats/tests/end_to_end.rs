@@ -3,7 +3,7 @@
 //! exposure distribution.
 
 use hsp_core::{construct_profile, recover_friend_lists, run_basic, AttackConfig};
-use hsp_crawler::{Crawler, OsnAccess};
+use hsp_crawler::{OsnAccess, ParallelCrawler};
 use hsp_http::DirectExchange;
 use hsp_platform::{Platform, PlatformConfig};
 use hsp_policy::FacebookPolicy;
@@ -13,7 +13,7 @@ use hsp_threats::{
 };
 use std::sync::Arc;
 
-fn attack(scenario: &Scenario) -> (Crawler<DirectExchange>, AttackConfig) {
+fn attack(scenario: &Scenario) -> (ParallelCrawler<DirectExchange>, AttackConfig) {
     let platform = Platform::new(
         Arc::new(scenario.network.clone()),
         Arc::new(FacebookPolicy::new()),
@@ -21,7 +21,7 @@ fn attack(scenario: &Scenario) -> (Crawler<DirectExchange>, AttackConfig) {
     );
     let handler = platform.into_handler();
     let exchanges = (0..2).map(|_| DirectExchange::new(handler.clone())).collect();
-    let crawler = Crawler::new(exchanges, "threat").unwrap();
+    let crawler = ParallelCrawler::new(exchanges, "threat").unwrap();
     let config = AttackConfig::new(
         scenario.school,
         scenario.network.senior_class_year(),

@@ -79,7 +79,7 @@ fn attack(lab: &Lab, access: &mut dyn OsnAccess) -> Result<(usize, usize, usize)
 
 fn measure(lab: &Lab, strength: DetectorStrength, mode: &'static str) -> Cell {
     let adaptive = if mode == "adaptive" { Some(AdaptiveStrategy::seeded(SEED)) } else { None };
-    let mut access = lab.arms_race_crawler(2, "arms", SEED, adaptive);
+    let mut access = lab.crawler(2, "arms").seed(SEED).max_accounts(64).adaptive(adaptive).boxed();
     let outcome = attack(lab, access.as_mut());
     let effort = access.effort();
     let snap = lab.obs.snapshot();
@@ -99,7 +99,7 @@ fn measure(lab: &Lab, strength: DetectorStrength, mode: &'static str) -> Cell {
         effort,
         suspensions: snap.counter("crawler_account_suspensions_total"),
         recruited: snap.counter("crawler_accounts_recruited_total"),
-        virtual_minutes: lab.platform.clock.now_ms() as f64 / 60_000.0,
+        virtual_minutes: access.virtual_elapsed_ms() as f64 / 60_000.0,
     }
 }
 

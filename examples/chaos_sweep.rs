@@ -9,7 +9,9 @@
 //!
 //! Each row answers: did the attack complete at this fault intensity,
 //! what did it find, and what did surviving cost (retries, recruited
-//! accounts, extra requests, virtual wall-clock)?
+//! accounts, extra requests, virtual wall-clock)? The run fails unless
+//! every factor (up to 4×) completes and finds exactly what factor 0
+//! finds (Table 4's found and correct-year).
 
 use hs_profiler::core::{evaluate, run_basic, run_enhanced, Completeness, EnhanceOptions};
 use hs_profiler::crawler::{CrawlError, OsnAccess};
@@ -54,7 +56,7 @@ fn attack(lab: &Lab, access: &mut dyn OsnAccess) -> Result<(usize, usize, usize)
 fn sweep_point(factor: f64) -> SweepRow {
     let plan = if factor == 0.0 { FaultPlan::default() } else { FaultPlan::chaos().scaled(factor) };
     let lab = Lab::facebook_chaotic(&ScenarioConfig::hs1(), plan);
-    let mut access = lab.resilient_crawler(2, "atk", SEED);
+    let mut access = lab.crawler(2, "atk").seed(SEED).boxed();
     let outcome = attack(&lab, access.as_mut());
     let completeness = Completeness::from_access(access.as_ref());
     let snap = lab.obs.snapshot();
@@ -72,7 +74,7 @@ fn sweep_point(factor: f64) -> SweepRow {
         suspensions: snap.counter("crawler_account_suspensions_total"),
         recruited: snap.counter("crawler_accounts_recruited_total"),
         partial_friend_lists: completeness.incomplete_friend_lists.len(),
-        virtual_minutes: lab.platform.clock.now_ms() as f64 / 60_000.0,
+        virtual_minutes: access.virtual_elapsed_ms() as f64 / 60_000.0,
     }
 }
 
@@ -152,4 +154,31 @@ fn main() {
         rows.push(row);
     }
     append_headline(&rows);
+
+    // Gates: every factor completes, and surviving the faults never
+    // changes what the attack finds — only what it costs.
+    let base = &rows[0];
+    let failures: Vec<String> = rows
+        .iter()
+        .filter_map(|r| {
+            if !r.completed {
+                Some(format!("x{:.1} did not complete", r.factor))
+            } else if (r.found, r.correct_year) != (base.found, base.correct_year) {
+                Some(format!(
+                    "x{:.1} found {}/{} correct-year, factor 0 found {}/{}",
+                    r.factor, r.found, r.correct_year, base.found, base.correct_year
+                ))
+            } else {
+                None
+            }
+        })
+        .collect();
+    if !failures.is_empty() {
+        eprintln!("CHAOS SWEEP GATE FAILED:");
+        for f in &failures {
+            eprintln!("  - {f}");
+        }
+        std::process::exit(1);
+    }
+    println!("chaos sweep gates passed: every factor completed with factor 0's findings.");
 }

@@ -71,7 +71,7 @@ fn main() {
         cl_minimal.len()
     );
     let config = cl_lab.attack_config();
-    let mut access = cl_lab.crawler(2, "cl");
+    let mut access = cl_lab.crawler(2, "cl").boxed();
     for n in [1u32, 2, 3] {
         let heur = run_coppaless_heuristic(
             access.as_mut(),

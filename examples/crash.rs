@@ -356,11 +356,11 @@ fn main() {
     let _ = std::fs::remove_file(&overhead_path);
     let lab = crash_lab(&cfg, CHURN);
     let t0 = Instant::now();
-    let bare = baseline_on(&lab, SEED, WORKERS, None);
+    let bare = baseline_on(&lab, SEED, WORKERS, None, None);
     let bare_secs = t0.elapsed().as_secs_f64();
     let lab = crash_lab(&cfg, CHURN);
     let t0 = Instant::now();
-    let yardstick = baseline_on(&lab, SEED, WORKERS, Some(&overhead_path));
+    let yardstick = baseline_on(&lab, SEED, WORKERS, None, Some(&overhead_path));
     let journaled_inproc_secs = t0.elapsed().as_secs_f64();
     assert_eq!(bare.digest, yardstick.digest, "journaling changed the outcome");
     assert_eq!(bare.effort, yardstick.effort, "journaling changed the effort ledger");
@@ -381,6 +381,7 @@ fn main() {
         &lab,
         SEED,
         WORKERS,
+        None,
         KillPlan::torn((committed / 2).max(3), 7),
         &trial_path,
     );

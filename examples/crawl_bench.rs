@@ -46,7 +46,7 @@ struct SynthRow {
 
 fn crawl_point(cfg: &ScenarioConfig, workers: usize) -> CrawlRow {
     let lab = Lab::facebook(cfg);
-    let access = Box::new(lab.parallel_crawler(ACCOUNTS, workers, "atk", SEED));
+    let access = lab.crawler(ACCOUNTS, "atk").workers(workers).seed(SEED).boxed();
     let started = Instant::now();
     let run = full_attack_with(&lab, access);
     let real_secs = started.elapsed().as_secs_f64();

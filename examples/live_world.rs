@@ -69,7 +69,7 @@ fn measure(lab: &Lab, factor: f64, pace: &'static str, pace_ms: u64) -> Cell {
     lab.obs.enable_tracing(TRACE_CAP);
     let politeness = Politeness { sleep_ms_between_requests: pace_ms, ..Politeness::default() };
     let accounts = lab.paper_account_count();
-    let access = lab.paced_crawler(accounts, "live", SEED, politeness);
+    let access = lab.crawler(accounts, "live").seed(SEED).politeness(politeness).boxed();
     let run = full_attack_with(lab, access);
     assert_eq!(lab.obs.tracer().dropped(), 0, "trace ring overflowed; raise TRACE_CAP");
     let audit = audit_trace(&lab.obs, &run.effort_total);
@@ -91,7 +91,7 @@ fn measure(lab: &Lab, factor: f64, pace: &'static str, pace_ms: u64) -> Cell {
         state_digest: lab.platform.mutations.state_digest(),
         trace_digest: audit.digest,
         effort: run.effort_total,
-        virtual_minutes: lab.platform.clock.now_ms() as f64 / 60_000.0,
+        virtual_minutes: run.access.virtual_elapsed_ms() as f64 / 60_000.0,
     }
 }
 
@@ -186,7 +186,7 @@ fn parallel_replay_fingerprint(workers: usize) -> (String, Effort, u64, u64) {
         },
     );
     lab.obs.enable_tracing(TRACE_CAP);
-    let access = Box::new(lab.parallel_crawler(2, workers, "atk", SEED));
+    let access = lab.crawler(2, "atk").workers(workers).seed(SEED).boxed();
     let run = full_attack_with(&lab, access);
     assert_eq!(lab.obs.tracer().dropped(), 0, "trace ring overflowed; raise TRACE_CAP");
     assert!(lab.platform.mutations.applied_count() > 0, "replay gate must see mutations");

@@ -9,7 +9,7 @@
 use hs_profiler::core::{
     evaluate, run_basic, run_enhanced, AttackConfig, EnhanceOptions, GroundTruth,
 };
-use hs_profiler::crawler::{Crawler, OsnAccess};
+use hs_profiler::crawler::{OsnAccess, ParallelCrawler};
 use hs_profiler::http::DirectExchange;
 use hs_profiler::platform::{Platform, PlatformConfig};
 use hs_profiler::policy::FacebookPolicy;
@@ -37,7 +37,7 @@ fn main() {
     // 3. The attacker: two fake accounts, crawling only stranger-visible
     //    pages.
     let exchanges = (0..2).map(|_| DirectExchange::new(handler.clone())).collect();
-    let mut crawler = Crawler::new(exchanges, "quickstart").expect("crawler");
+    let mut crawler = ParallelCrawler::new(exchanges, "quickstart").expect("crawler");
     let config = AttackConfig::new(
         scenario.school,
         scenario.network.senior_class_year(),

@@ -40,7 +40,7 @@
 
 use hs_profiler::core::{evaluate, run_basic, run_enhanced, EnhanceOptions, EvalPoint};
 use hs_profiler::crawler::OsnAccess;
-use hs_profiler::experiments::runner::{full_attack, Lab};
+use hs_profiler::experiments::runner::{full_attack, Attacker, Lab};
 use hs_profiler::http::{
     is_edge_limited, is_shed, ChaosPlan, Client, Exchange, RateLimit, Request, ServerConfig,
 };
@@ -270,7 +270,8 @@ fn soak_seed(cfg: &ScenarioConfig, seed: u64, base: &Baseline, smoke: bool) -> S
     let bg_threads = background_load(addr, 2, Arc::clone(&stop));
 
     let plan = ChaosPlan::chaos().with_seed(seed ^ 0xC4A0_2013);
-    let (mut crawler, chaos, retry_stats) = lab.tcp_chaos_crawler(2, "soak", seed, &plan);
+    let Attacker { mut crawler, retry_stats, chaos_stats: chaos } =
+        lab.crawler(2, "soak").seed(seed).chaos(&plan).tcp(true).build();
     let config = lab.attack_config();
     let t = config.school_size_estimate as usize;
     let outcome = (|| {

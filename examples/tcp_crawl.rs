@@ -9,7 +9,7 @@
 //! ```
 
 use hs_profiler::core::{evaluate, run_basic, AttackConfig, GroundTruth};
-use hs_profiler::crawler::{Crawler, OsnAccess};
+use hs_profiler::crawler::{OsnAccess, ParallelCrawler};
 use hs_profiler::http::{Client, Server};
 use hs_profiler::platform::{Platform, PlatformConfig};
 use hs_profiler::policy::FacebookPolicy;
@@ -32,8 +32,8 @@ fn main() {
 
     // Attack over real sockets: two fake accounts, keep-alive
     // connections, cookies, AJAX paging — the whole §3.2 pipeline.
-    let exchanges: Vec<Client> = (0..2).map(|_| Client::new(server.addr())).collect();
-    let mut crawler = Crawler::new(exchanges, "live").expect("crawler");
+    let exchanges = (0..2).map(|_| Client::new(server.addr())).collect();
+    let mut crawler = ParallelCrawler::new(exchanges, "live").expect("crawler");
     let config = AttackConfig::new(
         scenario.school,
         scenario.network.senior_class_year(),

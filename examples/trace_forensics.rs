@@ -43,7 +43,7 @@ fn attack(cfg: &ScenarioConfig, traced: bool) -> Run {
     if traced {
         lab.obs.enable_tracing(TRACE_CAP);
     }
-    let access = Box::new(lab.parallel_crawler(ACCOUNTS, WORKERS, "atk", SEED));
+    let access = lab.crawler(ACCOUNTS, "atk").workers(WORKERS).seed(SEED).boxed();
     let started = Instant::now();
     let run = full_attack_with(&lab, access);
     Run { lab, run, wall_secs: started.elapsed().as_secs_f64() }

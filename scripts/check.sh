@@ -19,6 +19,9 @@ cargo test --workspace -q
 echo "==> chaos integration test (HS1 attack under FaultPlan::chaos)"
 cargo test -q --test chaos_attack
 
+echo "==> chaos sweep (HS1 at 0-4x FaultPlan::chaos: every factor completes with factor 0's findings)"
+cargo run --release --example chaos_sweep
+
 echo "==> crawl bench, smoke mode (parallel determinism + scaling)"
 cargo run --release --example crawl_bench -- --smoke
 

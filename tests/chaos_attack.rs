@@ -31,7 +31,7 @@ struct ChaosOutcome {
 
 fn chaos_attack() -> ChaosOutcome {
     let lab = Lab::facebook_chaotic(&ScenarioConfig::hs1(), FaultPlan::chaos());
-    let access = lab.resilient_crawler(2, "atk", SEED);
+    let access = lab.crawler(2, "atk").seed(SEED).boxed();
     let run = full_attack_with(&lab, access);
     let truth = lab.ground_truth();
     let t = run.config.school_size_estimate as usize;
@@ -42,6 +42,7 @@ fn chaos_attack() -> ChaosOutcome {
         &truth,
     );
     let completeness = Completeness::from_access(run.access.as_ref());
+    let virtual_ms = run.access.virtual_elapsed_ms();
     let snap = lab.obs.snapshot();
     let fetch = ["auth", "find-friends", "profile", "friends", "circles", "message", "retry"]
         .iter()
@@ -55,7 +56,7 @@ fn chaos_attack() -> ChaosOutcome {
         recruited: snap.counter("crawler_accounts_recruited_total"),
         retry_metric: snap.counter("crawler_fetch_total{endpoint=\"retry\"}"),
         fetch,
-        virtual_ms: lab.platform.clock.now_ms(),
+        virtual_ms,
     }
 }
 

@@ -10,8 +10,10 @@
 //! `examples/crash.rs` (real SIGABRT over TCP); this tier-1 test pins
 //! the core identity guarantees on the tiny world.
 
-use hs_profiler::crawler::{recover, KillPlan};
-use hs_profiler::experiments::crash_lab::{baseline, crash_lab, killed_and_resumed_on};
+use hs_profiler::crawler::{recover, AdaptiveStrategy, KillPlan};
+use hs_profiler::experiments::crash_lab::{
+    baseline, baseline_on, crash_lab, killed_and_resumed_on,
+};
 use hs_profiler::synth::ScenarioConfig;
 use std::path::PathBuf;
 
@@ -69,7 +71,7 @@ fn killed_and_resumed_is_bit_identical() {
     for (label, kill) in kills {
         let lab = crash_lab(&cfg, CHURN);
         let path = test_dir(&format!("kill-{label}.journal"));
-        let trial = killed_and_resumed_on(&lab, SEED, WORKERS, kill, &path);
+        let trial = killed_and_resumed_on(&lab, SEED, WORKERS, None, kill, &path);
         assert_eq!(trial.resumes, 1, "{label}: expected exactly one resume");
         assert!(trial.recovered_records > 0, "{label}: resume recovered an empty journal");
         let o = &trial.outcome;
@@ -89,7 +91,7 @@ fn torn_tail_is_discarded_not_replayed() {
     let cfg = ScenarioConfig::tiny();
     let lab = crash_lab(&cfg, CHURN);
     let path = test_dir("torn-accounting.journal");
-    let trial = killed_and_resumed_on(&lab, SEED, WORKERS, KillPlan::torn(9, 5), &path);
+    let trial = killed_and_resumed_on(&lab, SEED, WORKERS, None, KillPlan::torn(9, 5), &path);
     assert!(trial.torn_bytes > 0, "torn kill left no torn bytes for recovery to cut");
     assert!(
         trial.recovered_records < 9,
@@ -97,4 +99,25 @@ fn torn_tail_is_discarded_not_replayed() {
         trial.recovered_records
     );
     assert!(trial.recovery_us > 0, "recovery reported zero elapsed time");
+}
+
+/// The adaptive attacker journals its pacing too (per-seat jitter draw
+/// counters, decoy cadence): killed mid-crawl and resumed, it replays
+/// the uninterrupted adaptive run bit for bit — decoys included.
+#[test]
+fn adaptive_attacker_resumes_bit_identically() {
+    let cfg = ScenarioConfig::tiny();
+    let adaptive = Some(AdaptiveStrategy::seeded(SEED));
+    let yardstick = baseline_on(&crash_lab(&cfg, CHURN), SEED, WORKERS, adaptive, None);
+    assert!(yardstick.effort.decoy_requests > 0, "adaptive run issued no decoys");
+    for (label, kill) in [("clean", KillPlan::after(40)), ("torn", KillPlan::torn(60, 7))] {
+        let lab = crash_lab(&cfg, CHURN);
+        let path = test_dir(&format!("adaptive-{label}.journal"));
+        let trial = killed_and_resumed_on(&lab, SEED, WORKERS, adaptive, kill, &path);
+        assert_eq!(trial.resumes, 1, "{label}: expected exactly one resume");
+        let o = &trial.outcome;
+        assert_eq!(o.digest, yardstick.digest, "{label}: outcome digest drifted after resume");
+        assert_eq!(o.effort, yardstick.effort, "{label}: effort ledger drifted after resume");
+        assert_eq!(o.trace_digest, yardstick.trace_digest, "{label}: trace drifted after resume");
+    }
 }

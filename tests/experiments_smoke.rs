@@ -34,3 +34,15 @@ fn experiment_registry_is_complete_and_unique() {
     ids.dedup();
     assert_eq!(ids.len(), ALL_EXPERIMENTS.len(), "duplicate experiment ids");
 }
+
+/// `--tcp --workers N` drives the crawl's account queues on N threads
+/// over TCP too, and Table 4 comes out exactly as in-process.
+#[test]
+fn table4_over_tcp_with_two_workers_equals_in_process() {
+    let direct = run_experiment(&mut Ctx::new(false), "table4").expect("known experiment");
+    let mut ctx = Ctx::with_workers(true, 2);
+    let tcp = run_experiment(&mut ctx, "table4").expect("known experiment");
+    assert_eq!(ctx.obs.snapshot().gauge("crawler_workers"), 2, "--workers must reach the crawl");
+    assert_eq!(tcp.text, direct.text);
+    assert_eq!(tcp.json, direct.json);
+}

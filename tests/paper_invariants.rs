@@ -2,14 +2,14 @@
 //! against the full stack (generator → platform → crawler → inference).
 
 use hs_profiler::core::{run_basic, AttackConfig, GroundTruth};
-use hs_profiler::crawler::{Crawler, OsnAccess};
+use hs_profiler::crawler::{OsnAccess, ParallelCrawler};
 use hs_profiler::http::DirectExchange;
 use hs_profiler::platform::{Platform, PlatformConfig};
 use hs_profiler::policy::{facebook_matrix, googleplus_matrix, FacebookPolicy, InfoRow};
 use hs_profiler::synth::{generate, Scenario, ScenarioConfig};
 use std::sync::Arc;
 
-fn attack(scenario: &Scenario, accounts: usize) -> (Crawler<DirectExchange>, AttackConfig) {
+fn attack(scenario: &Scenario, accounts: usize) -> (ParallelCrawler<DirectExchange>, AttackConfig) {
     let platform = Platform::new(
         Arc::new(scenario.network.clone()),
         Arc::new(FacebookPolicy::new()),
@@ -17,7 +17,7 @@ fn attack(scenario: &Scenario, accounts: usize) -> (Crawler<DirectExchange>, Att
     );
     let handler = platform.into_handler();
     let exchanges = (0..accounts).map(|_| DirectExchange::new(handler.clone())).collect();
-    let crawler = Crawler::new(exchanges, "inv").unwrap();
+    let crawler = ParallelCrawler::new(exchanges, "inv").unwrap();
     let config = AttackConfig::new(
         scenario.school,
         scenario.network.senior_class_year(),

@@ -25,7 +25,7 @@ const TRACE_CAP: usize = 32_768;
 fn parallel_attack(workers: usize) -> (Lab, AttackRun) {
     let lab = Lab::facebook_chaotic(&ScenarioConfig::tiny(), FaultPlan::chaos());
     lab.obs.enable_tracing(TRACE_CAP);
-    let access = Box::new(lab.parallel_crawler(2, workers, "atk", SEED));
+    let access = lab.crawler(2, "atk").workers(workers).seed(SEED).boxed();
     let run = full_attack_with(&lab, access);
     (lab, run)
 }
@@ -106,7 +106,7 @@ fn defended_attack(workers: usize, strength: DetectorStrength) -> DefendedFinger
         },
     );
     lab.obs.enable_tracing(TRACE_CAP);
-    let access = Box::new(lab.parallel_crawler(2, workers, "atk", SEED));
+    let access = lab.crawler(2, "atk").workers(workers).seed(SEED).boxed();
     let run = full_attack_with(&lab, access);
     let digest = lab.platform.defense.state_digest();
     assert_eq!(lab.obs.tracer().dropped(), 0, "digest comparison needs a lossless ring");
@@ -174,7 +174,7 @@ fn live_attack(workers: usize) -> LiveFingerprint {
         },
     );
     lab.obs.enable_tracing(TRACE_CAP);
-    let access = Box::new(lab.parallel_crawler(2, workers, "atk", SEED));
+    let access = lab.crawler(2, "atk").workers(workers).seed(SEED).boxed();
     let run = full_attack_with(&lab, access);
     assert_eq!(lab.obs.tracer().dropped(), 0, "digest comparison needs a lossless ring");
     // Non-vacuity: the world genuinely churned while the crawl ran, and
@@ -215,10 +215,10 @@ proptest::proptest! {
     }
 }
 
-/// The property above must not hold vacuously: under the parallel
-/// crawler every seat keeps its own clock, the platform clock never
-/// advances, and the all-zero timing gaps read as a maximally
-/// machine-like signature — Medium must actually flag the fleet.
+/// The property above must not hold vacuously: every seat stamps its
+/// requests with its own clock, so each session's gaps are its own
+/// metronomic 1.5 s politeness sleeps (plus backoff) — fast and regular
+/// enough that Medium must actually flag the fleet.
 #[test]
 fn defended_chaotic_parallel_run_engages_the_detector() {
     let (_, effort, digest, _, _) = defended_reference(DetectorStrength::Medium).clone();
@@ -240,7 +240,7 @@ fn defended_chaotic_parallel_run_engages_the_detector() {
 #[test]
 fn parallel_effort_matches_platform_served_requests() {
     let lab = Lab::facebook(&ScenarioConfig::tiny());
-    let access = Box::new(lab.parallel_crawler(2, 4, "atk", SEED));
+    let access = lab.crawler(2, "atk").workers(4).seed(SEED).boxed();
     let run = full_attack_with(&lab, access);
     let snap = lab.obs.snapshot();
     let effort = run.effort_total;

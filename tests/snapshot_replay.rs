@@ -3,12 +3,17 @@
 //! offline workflow.
 
 use hs_profiler::core::{run_basic, AttackConfig};
-use hs_profiler::crawler::{CrawlSnapshot, Crawler, SnapshotAccess};
-use hs_profiler::http::DirectExchange;
+use hs_profiler::crawler::{CrawlSnapshot, ParallelCrawler, SnapshotAccess};
+use hs_profiler::http::{DirectExchange, Handler};
 use hs_profiler::platform::{Platform, PlatformConfig};
 use hs_profiler::policy::FacebookPolicy;
 use hs_profiler::synth::{generate, ScenarioConfig};
 use std::sync::Arc;
+
+fn crawler(handler: &Arc<dyn Handler>) -> ParallelCrawler<DirectExchange> {
+    let exchanges = (0..2).map(|_| DirectExchange::new(handler.clone())).collect();
+    ParallelCrawler::new(exchanges, "snap").unwrap()
+}
 
 #[test]
 fn offline_replay_reproduces_live_discovery() {
@@ -26,9 +31,7 @@ fn offline_replay_reproduces_live_discovery() {
     );
 
     // Live run.
-    let exchanges: Vec<DirectExchange> =
-        (0..2).map(|_| DirectExchange::new(handler.clone())).collect();
-    let mut live = Crawler::new(exchanges, "snap").unwrap();
+    let mut live = crawler(&handler);
     let live_discovery = run_basic(&mut live, &config).unwrap();
 
     // Capture through a second crawler with the same account layout (a
@@ -38,10 +41,7 @@ fn offline_replay_reproduces_live_discovery() {
         Arc::new(FacebookPolicy::new()),
         PlatformConfig::default(),
     );
-    let handler2 = platform2.into_handler();
-    let exchanges: Vec<DirectExchange> =
-        (0..2).map(|_| DirectExchange::new(handler2.clone())).collect();
-    let mut capture_crawler = Crawler::new(exchanges, "snap").unwrap();
+    let mut capture_crawler = crawler(&platform2.into_handler());
     let snapshot = CrawlSnapshot::capture(&mut capture_crawler, scenario.school, &[]).unwrap();
     assert!(snapshot.effort.total() > 0);
 

@@ -7,7 +7,6 @@
 //! ledgers, the trace-forensics audit must close: every refusal the
 //! wire carried is explained by exactly one traced cause.
 
-use hs_profiler::crawler::OsnAccess;
 use hs_profiler::experiments::runner::{full_attack_with, Lab};
 use hs_profiler::experiments::trace_audit::audit_trace;
 use hs_profiler::graph::UserId;
@@ -47,7 +46,7 @@ fn edge_limiter_refusals_are_ledgered_as_edge() {
         ..ServerConfig::default()
     })
     .expect("serve");
-    let (mut crawler, _chaos, _retry) = lab.tcp_chaos_crawler(2, "edge", 5, &ChaosPlan::default());
+    let mut crawler = lab.crawler(2, "edge").seed(5).chaos(&ChaosPlan::default()).tcp(true).boxed();
     let config = lab.attack_config();
     let seeds = crawler.collect_seeds(config.school).expect("seeds");
     for &uid in seeds.iter().take(120) {
@@ -84,7 +83,8 @@ fn fault_and_suspension_refusals_are_ledgered_distinctly() {
     );
     lab.obs.enable_tracing(TRACE_CAP);
     lab.serve().expect("serve");
-    let (mut crawler, _chaos, _retry) = lab.tcp_chaos_crawler(2, "fault", 9, &ChaosPlan::default());
+    let mut crawler =
+        lab.crawler(2, "fault").seed(9).chaos(&ChaosPlan::default()).tcp(true).boxed();
     let config = lab.attack_config();
     let seeds = crawler.collect_seeds(config.school).expect("seeds");
     for &uid in seeds.iter().take(120) {
@@ -114,8 +114,8 @@ fn detector_throttle_refusals_are_ledgered_as_throttle() {
     );
     lab.obs.enable_tracing(TRACE_CAP);
     lab.serve().expect("serve");
-    let (crawler, _chaos, _retry) = lab.tcp_chaos_crawler(2, "throttle", 13, &ChaosPlan::default());
-    let run = full_attack_with(&lab, Box::new(crawler));
+    let crawler = lab.crawler(2, "throttle").seed(13).chaos(&ChaosPlan::default()).tcp(true);
+    let run = full_attack_with(&lab, crawler.boxed());
     lab.stop_serving();
 
     assert_only(&lab, &["throttle"]);
@@ -144,7 +144,8 @@ fn connection_sheds_are_ledgered_as_shed() {
             ..ServerConfig::default()
         })
         .expect("serve");
-    let (mut crawler, _chaos, _retry) = lab.tcp_chaos_crawler(1, "shed", 17, &ChaosPlan::default());
+    let mut crawler =
+        lab.crawler(1, "shed").seed(17).chaos(&ChaosPlan::default()).tcp(true).boxed();
 
     // Let the server reap the crawler's idle keep-alive connection, so
     // its next request has to reconnect — and meet a full house.

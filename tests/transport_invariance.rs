@@ -3,12 +3,16 @@
 //! i.e. the HTTP layer is a faithful transport, not part of the model.
 
 use hs_profiler::core::{run_basic, AttackConfig};
-use hs_profiler::crawler::{Crawler, OsnAccess};
-use hs_profiler::http::{Client, DirectExchange, Server};
+use hs_profiler::crawler::{OsnAccess, ParallelCrawler};
+use hs_profiler::http::{Client, DirectExchange, Exchange, Server};
 use hs_profiler::platform::{Platform, PlatformConfig};
 use hs_profiler::policy::FacebookPolicy;
 use hs_profiler::synth::{generate, ScenarioConfig};
 use std::sync::Arc;
+
+fn crawler<E: Exchange + Send>(label: &str, exchange: impl Fn() -> E) -> ParallelCrawler<E> {
+    ParallelCrawler::new((0..2).map(|_| exchange()).collect(), label).unwrap()
+}
 
 #[test]
 fn direct_and_tcp_attacks_agree_exactly() {
@@ -26,9 +30,7 @@ fn direct_and_tcp_attacks_agree_exactly() {
     );
 
     // In-process run (accounts get platform indices 0, 1).
-    let exchanges: Vec<DirectExchange> =
-        (0..2).map(|_| DirectExchange::new(handler.clone())).collect();
-    let mut direct = Crawler::new(exchanges, "direct").unwrap();
+    let mut direct = crawler("direct", || DirectExchange::new(handler.clone()));
     let d1 = run_basic(&mut direct, &config).unwrap();
 
     // TCP run against the same platform (accounts 2, 3 — but the search
@@ -40,8 +42,7 @@ fn direct_and_tcp_attacks_agree_exactly() {
         PlatformConfig::default(),
     );
     let server = Server::start(platform2.into_handler()).unwrap();
-    let clients: Vec<Client> = (0..2).map(|_| Client::new(server.addr())).collect();
-    let mut tcp = Crawler::new(clients, "tcp").unwrap();
+    let mut tcp = crawler("tcp", || Client::new(server.addr()));
     let d2 = run_basic(&mut tcp, &config).unwrap();
 
     assert_eq!(d1.seeds, d2.seeds, "seed sets differ across transports");
@@ -71,9 +72,7 @@ fn attack_is_deterministic_across_repeat_runs() {
             PlatformConfig::default(),
         );
         let handler = platform.into_handler();
-        let exchanges: Vec<DirectExchange> =
-            (0..2).map(|_| DirectExchange::new(handler.clone())).collect();
-        let mut crawler = Crawler::new(exchanges, "det").unwrap();
+        let mut crawler = crawler("det", || DirectExchange::new(handler.clone()));
         let config = AttackConfig::new(
             scenario.school,
             scenario.network.senior_class_year(),
