@@ -4,6 +4,8 @@
 use crate::ids::UserId;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Symmetric friendship adjacency, one sorted neighbour list per user.
 ///
@@ -15,15 +17,20 @@ use serde::{Deserialize, Serialize};
 ///
 /// - **Building** — one `Vec<UserId>` per user. Cheap to mutate; three
 ///   pointers of header plus a separate allocation per user.
-/// - **Sealed** — frozen CSR (compressed sparse row): one offsets array
-///   and one flat edge array. Zero per-user allocations, neighbour
-///   lists are contiguous slices, and a metro-scale world drops from
-///   ~50 B to ~8 B of overhead per edge endpoint.
+/// - **Sealed** — frozen CSR (compressed sparse row) behind an `Arc`:
+///   one offsets array and one flat edge array, so neighbour lists are
+///   contiguous slices with no per-user allocation, and a metro-scale
+///   world drops from ~50 B to ~8 B of overhead per edge endpoint. Lists
+///   rewritten since sealing live in a per-user patch that shadows
+///   their CSR rows.
 ///
 /// Sealing ([`FriendGraph::seal`], usually via `Network::seal`) is a
-/// pure layout change: every accessor answers identically, the serde
-/// form is the legacy `{"adj": [[...]]}` either way, and any mutation
-/// transparently thaws back to Building first.
+/// pure layout change: every accessor answers identically and the serde
+/// form is the legacy `{"adj": [[...]]}` either way. A sealed graph
+/// stays sealed under `add_friendship`, `remove_friendship` and
+/// `ensure_users`: each edit rewrites only the two lists it touches into
+/// the patch, and a clone shares the CSR, so a copy-and-edit costs the
+/// patch, not the graph. Only `bulk_insert` thaws back to Building.
 #[derive(Clone, Debug)]
 pub struct FriendGraph {
     repr: Repr,
@@ -32,12 +39,12 @@ pub struct FriendGraph {
 #[derive(Clone, Debug)]
 enum Repr {
     Building(Vec<Vec<UserId>>),
-    Sealed(Csr),
+    Sealed(Sealed),
 }
 
 /// Frozen compressed-sparse-row adjacency: `edges[offsets[u] as usize
 /// .. offsets[u + 1] as usize]` is the sorted friend list of user `u`.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Csr {
     offsets: Vec<u64>,
     edges: Vec<UserId>,
@@ -49,7 +56,35 @@ impl Csr {
     }
 
     fn list(&self, i: usize) -> &[UserId] {
-        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        if i < self.users() {
+            &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        } else {
+            &[]
+        }
+    }
+}
+
+/// The sealed layout: a shared CSR plus the lists edited since.
+#[derive(Clone, Debug)]
+struct Sealed {
+    csr: Arc<Csr>,
+    /// Users whose list changed after sealing, with their whole new
+    /// list; an entry shadows the user's CSR row. Only looked up by key.
+    patch: HashMap<UserId, Arc<[UserId]>>,
+    /// Users tracked, at least `csr.users()`; later ones are signups.
+    users: usize,
+}
+
+impl Sealed {
+    fn new(csr: Csr) -> Sealed {
+        Sealed { users: csr.users(), csr: Arc::new(csr), patch: HashMap::new() }
+    }
+
+    fn list(&self, u: UserId) -> &[UserId] {
+        match self.patch.get(&u) {
+            Some(list) => list,
+            None => self.csr.list(u.index()),
+        }
     }
 }
 
@@ -78,7 +113,7 @@ impl FriendGraph {
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Building(adj) => adj.len(),
-            Repr::Sealed(csr) => csr.users(),
+            Repr::Sealed(s) => s.users,
         }
     }
 
@@ -107,7 +142,7 @@ impl FriendGraph {
             for list in adj {
                 edges.extend_from_slice(list);
             }
-            self.repr = Repr::Sealed(Csr { offsets, edges });
+            self.repr = Repr::Sealed(Sealed::new(Csr { offsets, edges }));
         }
     }
 
@@ -162,13 +197,13 @@ impl FriendGraph {
             compacted.push(write as u64);
         }
         flat.truncate(write);
-        FriendGraph { repr: Repr::Sealed(Csr { offsets: compacted, edges: flat }) }
+        FriendGraph { repr: Repr::Sealed(Sealed::new(Csr { offsets: compacted, edges: flat })) }
     }
 
     /// Mutable Building-layout view, thawing a sealed graph first.
     fn building(&mut self) -> &mut Vec<Vec<UserId>> {
-        if let Repr::Sealed(csr) = &self.repr {
-            let adj = (0..csr.users()).map(|i| csr.list(i).to_vec()).collect();
+        if let Repr::Sealed(_) = &self.repr {
+            let adj = self.iter_lists().map(<[UserId]>::to_vec).collect();
             self.repr = Repr::Building(adj);
         }
         match &mut self.repr {
@@ -177,10 +212,28 @@ impl FriendGraph {
         }
     }
 
+    /// Apply `edit` to `u`'s list in either layout; a sealed graph
+    /// writes the edited copy to its patch when `edit` reports a change.
+    fn edit(&mut self, u: UserId, edit: impl FnOnce(&mut Vec<UserId>) -> bool) -> bool {
+        match &mut self.repr {
+            Repr::Building(adj) => edit(&mut adj[u.index()]),
+            Repr::Sealed(s) => {
+                let mut list = s.list(u).to_vec();
+                let changed = edit(&mut list);
+                if changed {
+                    s.patch.insert(u, list.into());
+                }
+                changed
+            }
+        }
+    }
+
     /// Grow the user table to at least `users` entries.
     pub fn ensure_users(&mut self, users: usize) {
-        if self.len() < users {
-            self.building().resize(users, Vec::new());
+        match &mut self.repr {
+            Repr::Building(adj) if adj.len() < users => adj.resize(users, Vec::new()),
+            Repr::Building(_) => {}
+            Repr::Sealed(s) => s.users = s.users.max(users),
         }
     }
 
@@ -191,10 +244,9 @@ impl FriendGraph {
             return false;
         }
         self.ensure_users(a.index().max(b.index()) + 1);
-        let adj = self.building();
-        let inserted = Self::insert_sorted(&mut adj[a.index()], b);
+        let inserted = self.edit(a, |list| Self::insert_sorted(list, b));
         if inserted {
-            Self::insert_sorted(&mut adj[b.index()], a);
+            self.edit(b, |list| Self::insert_sorted(list, a));
         }
         inserted
     }
@@ -216,13 +268,11 @@ impl FriendGraph {
         if a == b || a.index() >= self.len() || b.index() >= self.len() {
             return false;
         }
-        if !self.are_friends(a, b) {
-            return false;
+        let removed = self.edit(a, |list| Self::remove_sorted(list, b));
+        if removed {
+            self.edit(b, |list| Self::remove_sorted(list, a));
         }
-        let adj = self.building();
-        Self::remove_sorted(&mut adj[a.index()], b);
-        Self::remove_sorted(&mut adj[b.index()], a);
-        true
+        removed
     }
 
     fn remove_sorted(list: &mut Vec<UserId>, v: UserId) -> bool {
@@ -236,18 +286,12 @@ impl FriendGraph {
     }
 
     /// The sorted friend list of `u` (empty if out of range). In the
-    /// sealed layout this is a slice of the flat CSR edge array —
-    /// no per-user allocation exists to point into.
+    /// sealed layout this is a slice of the flat CSR edge array, or of
+    /// the user's patched list once an edit touched them.
     pub fn friends(&self, u: UserId) -> &[UserId] {
         match &self.repr {
             Repr::Building(adj) => adj.get(u.index()).map(Vec::as_slice).unwrap_or(&[]),
-            Repr::Sealed(csr) => {
-                if u.index() < csr.users() {
-                    csr.list(u.index())
-                } else {
-                    &[]
-                }
-            }
+            Repr::Sealed(s) => s.list(u),
         }
     }
 
@@ -275,7 +319,11 @@ impl FriendGraph {
     pub fn edge_count(&self) -> usize {
         match &self.repr {
             Repr::Building(adj) => adj.iter().map(Vec::len).sum::<usize>() / 2,
-            Repr::Sealed(csr) => csr.edges.len() / 2,
+            Repr::Sealed(s) => {
+                let patched: usize = s.patch.values().map(|l| l.len()).sum();
+                let shadowed: usize = s.patch.keys().map(|&u| s.csr.list(u.index()).len()).sum();
+                (s.csr.edges.len() + patched - shadowed) / 2
+            }
         }
     }
 
@@ -504,6 +552,30 @@ mod tests {
             assert_eq!(bulk.friends(u(i)), inc.friends(u(i)), "user {i}");
         }
         assert_eq!(bulk.edge_count(), inc.edge_count());
+    }
+
+    #[test]
+    fn sealed_edits_patch_without_thawing() {
+        let mut building = FriendGraph::default();
+        for (a, b) in [(0u64, 1), (1, 2), (2, 3), (0, 3)] {
+            building.add_friendship(u(a), u(b));
+        }
+        let mut sealed = building.clone();
+        sealed.seal();
+        let before = sealed.clone();
+        for g in [&mut building, &mut sealed] {
+            assert!(g.add_friendship(u(1), u(5)), "a new user past the CSR");
+            assert!(g.remove_friendship(u(2), u(1)));
+            assert!(!g.remove_friendship(u(2), u(1)));
+            assert!(!g.add_friendship(u(0), u(1)));
+        }
+        assert!(sealed.is_sealed(), "edits must not thaw the CSR");
+        assert_eq!(sealed.len(), building.len());
+        assert!(sealed.iter_lists().eq(building.iter_lists()));
+        assert_eq!(sealed.edge_count(), building.edge_count());
+        // The clone taken before the edits still sees the old graph.
+        assert!(before.are_friends(u(1), u(2)));
+        assert_eq!((before.len(), before.edge_count()), (4, 4));
     }
 
     #[test]

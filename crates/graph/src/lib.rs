@@ -13,6 +13,7 @@
 //! code — the simulated platform never serves it, exactly as the paper's
 //! confidential rosters were used only to score the attack.
 
+mod chunked;
 pub mod date;
 pub mod friendship;
 pub mod household;

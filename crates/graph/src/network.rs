@@ -1,6 +1,7 @@
 //! The assembled social network: users, friendships, schools, cities and
 //! the simulated "today".
 
+use crate::chunked::Chunked;
 use crate::date::{Date, SchoolCalendar};
 use crate::friendship::{Circles, FriendGraph};
 use crate::household::Households;
@@ -11,6 +12,7 @@ use crate::strings::Sym;
 use crate::user::{Role, User};
 use serde::value::{Map, Value};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The complete simulated OSN state plus generator-side ground truth.
 ///
@@ -28,25 +30,40 @@ use serde::{Deserialize, Serialize};
 /// struct-of-arrays columns, and per-school "lister" indexes replace
 /// the full-population scans behind school search. Sealing never
 /// changes observable behaviour — every accessor answers identically
-/// and [`Network::fingerprint`] is bit-identical — and any mutating
-/// accessor transparently unseals first.
+/// and [`Network::fingerprint`] is bit-identical.
+///
+/// The seal survives the edits a live world makes: [`Network::add_user`],
+/// [`Network::update_user`], [`Network::add_friendship`] and
+/// [`Network::remove_friendship`] patch the CSR, the columns and the
+/// listers for exactly the users they touch. Only a wholesale adjacency
+/// install and a bulk edge insert drop the seal.
+///
+/// # Sharing
+///
+/// Cloning is cheap and copies on write. Users and seal columns live in
+/// fixed-size shared chunks, the sealed adjacency and the per-school
+/// listers are shared, and the parts no live-world event touches
+/// (schools, cities, households, circles, interactions) sit behind one
+/// `Arc` each that only their `*_mut` accessors unshare. A clone costs
+/// a reference count per chunk plus the patched friend lists; an edit
+/// then copies only the chunks and lists it lands in.
 #[derive(Clone, Debug)]
 pub struct Network {
     /// The simulated current date (the paper's crawls: March/June 2012).
     pub today: Date,
     pub calendar: SchoolCalendar,
-    users: Vec<User>,
+    users: Chunked<User>,
     friends: FriendGraph,
-    schools: Vec<School>,
-    cities: Vec<City>,
-    households: Households,
+    schools: Arc<Vec<School>>,
+    cities: Arc<Vec<City>>,
+    households: Arc<Households>,
     /// Asymmetric circle membership (Google+ mode; empty under
     /// Facebook-style symmetric friendship).
-    circles: Circles,
+    circles: Arc<Circles>,
     /// Pairwise interaction intensity (wall posts between friends).
-    interactions: Interactions,
-    /// Seal-time read indexes; dropped on any mutation. Never
-    /// serialized — rebuilt by re-sealing after a round-trip.
+    interactions: Arc<Interactions>,
+    /// Seal-time read indexes. Never serialized — rebuilt by re-sealing
+    /// after a round-trip.
     seal: Option<SealIndex>,
 }
 
@@ -54,17 +71,20 @@ pub struct Network {
 /// scans touch, so a roster or searchability pass walks a few flat
 /// byte/int columns instead of dragging every `User`'s cold `String`
 /// and `Vec` cache lines through the core.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct UserColumns {
     /// Role discriminant (`UserColumns::CURRENT_STUDENT`, ...).
-    role_tag: Vec<u8>,
+    role_tag: Chunked<u8>,
     /// Role school index, `u32::MAX` when the role has none.
-    role_school: Vec<u32>,
+    role_school: Chunked<u32>,
     /// Role graduation year, `0` when the role has none.
-    grad_year: Vec<i32>,
+    grad_year: Chunked<i32>,
     /// Packed privacy tier (`PUBLIC_SEARCH` | `EDUCATION_VISIBLE` | ...).
-    privacy: Vec<u8>,
+    privacy: Chunked<u8>,
 }
+
+/// One user's [`UserColumns`] entries: role tag, school, year, privacy.
+type ColumnRow = (u8, u32, i32, u8);
 
 impl UserColumns {
     pub const CURRENT_STUDENT: u8 = 1;
@@ -79,47 +99,68 @@ impl UserColumns {
     pub const FRIEND_LIST_VISIBLE: u8 = 1 << 2;
     pub const WALL_VISIBLE: u8 = 1 << 3;
 
-    fn build(users: &[User]) -> UserColumns {
-        let mut c = UserColumns {
-            role_tag: Vec::with_capacity(users.len()),
-            role_school: Vec::with_capacity(users.len()),
-            grad_year: Vec::with_capacity(users.len()),
-            privacy: Vec::with_capacity(users.len()),
+    fn row(u: &User) -> ColumnRow {
+        let (tag, school, year) = match u.role {
+            Role::CurrentStudent { school, grad_year } => {
+                (Self::CURRENT_STUDENT, school.index() as u32, grad_year)
+            }
+            Role::FormerStudent { school, grad_year } => {
+                (Self::FORMER_STUDENT, school.index() as u32, grad_year)
+            }
+            Role::Alumnus { school, grad_year } => {
+                (Self::ALUMNUS, school.index() as u32, grad_year)
+            }
+            Role::Parent { .. } => (Self::PARENT, u32::MAX, 0),
+            Role::OtherResident => (Self::OTHER_RESIDENT, u32::MAX, 0),
+            Role::NonResident => (Self::NON_RESIDENT, u32::MAX, 0),
         };
-        for u in users {
-            let (tag, school, year) = match u.role {
-                Role::CurrentStudent { school, grad_year } => {
-                    (Self::CURRENT_STUDENT, school.index() as u32, grad_year)
-                }
-                Role::FormerStudent { school, grad_year } => {
-                    (Self::FORMER_STUDENT, school.index() as u32, grad_year)
-                }
-                Role::Alumnus { school, grad_year } => {
-                    (Self::ALUMNUS, school.index() as u32, grad_year)
-                }
-                Role::Parent { .. } => (Self::PARENT, u32::MAX, 0),
-                Role::OtherResident => (Self::OTHER_RESIDENT, u32::MAX, 0),
-                Role::NonResident => (Self::NON_RESIDENT, u32::MAX, 0),
-            };
-            c.role_tag.push(tag);
-            c.role_school.push(school);
-            c.grad_year.push(year);
-            let mut p = 0u8;
-            if u.privacy.public_search {
-                p |= Self::PUBLIC_SEARCH;
-            }
-            if u.privacy.education.visible_to_stranger() {
-                p |= Self::EDUCATION_VISIBLE;
-            }
-            if u.privacy.friend_list.visible_to_stranger() {
-                p |= Self::FRIEND_LIST_VISIBLE;
-            }
-            if u.privacy.wall.visible_to_stranger() {
-                p |= Self::WALL_VISIBLE;
-            }
-            c.privacy.push(p);
+        let mut p = 0u8;
+        if u.privacy.public_search {
+            p |= Self::PUBLIC_SEARCH;
         }
-        c
+        if u.privacy.education.visible_to_stranger() {
+            p |= Self::EDUCATION_VISIBLE;
+        }
+        if u.privacy.friend_list.visible_to_stranger() {
+            p |= Self::FRIEND_LIST_VISIBLE;
+        }
+        if u.privacy.wall.visible_to_stranger() {
+            p |= Self::WALL_VISIBLE;
+        }
+        (tag, school, year, p)
+    }
+
+    fn push(&mut self, (tag, school, year, privacy): ColumnRow) {
+        self.role_tag.push(tag);
+        self.role_school.push(school);
+        self.grad_year.push(year);
+        self.privacy.push(privacy);
+    }
+
+    fn set(&mut self, u: UserId, (tag, school, year, privacy): ColumnRow) {
+        let i = u.index();
+        *self.role_tag.make_mut(i) = tag;
+        *self.role_school.make_mut(i) = school;
+        *self.grad_year.make_mut(i) = year;
+        *self.privacy.make_mut(i) = privacy;
+    }
+
+    /// Users whose role has `tag` at `school`, in the class of `year`
+    /// when given, in id order.
+    fn select(&self, tag: u8, school: SchoolId, year: Option<i32>) -> Vec<UserId> {
+        let school = school.index() as u32;
+        let mut out = Vec::new();
+        let rows =
+            self.role_tag.chunks().zip(self.role_school.chunks()).zip(self.grad_year.chunks());
+        for (c, ((tags, schools), years)) in rows.enumerate() {
+            let base = c * crate::chunked::CHUNK;
+            for (i, ((&t, &s), &y)) in tags.iter().zip(schools).zip(years).enumerate() {
+                if t == tag && s == school && year.is_none_or(|year| y == year) {
+                    out.push(UserId::from_index(base + i));
+                }
+            }
+        }
+        out
     }
 
     pub fn len(&self) -> usize {
@@ -127,7 +168,7 @@ impl UserColumns {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.role_tag.is_empty()
+        self.role_tag.len() == 0
     }
 
     pub fn role_tag(&self, u: UserId) -> u8 {
@@ -172,14 +213,20 @@ struct SealIndex {
     /// and Google+ search rules require a profile school listing — so
     /// search indexing filters these few thousand candidates instead
     /// of scanning the whole population per school.
-    listers: Vec<Vec<UserId>>,
+    listers: Vec<Arc<Vec<UserId>>>,
 }
 
 impl SealIndex {
-    fn build(users: &[User], schools: usize) -> SealIndex {
-        let columns = UserColumns::build(users);
+    fn build(users: &Chunked<User>, schools: usize) -> SealIndex {
+        let mut columns = UserColumns {
+            role_tag: Chunked::default(),
+            role_school: Chunked::default(),
+            grad_year: Chunked::default(),
+            privacy: Chunked::default(),
+        };
         let mut listers = vec![Vec::new(); schools];
-        for u in users {
+        for u in users.iter() {
+            columns.push(UserColumns::row(u));
             // Collect each user at most once per distinct school.
             let mut push = |s: SchoolId| {
                 if let Some(list) = listers.get_mut(s.index()) {
@@ -201,8 +248,45 @@ impl SealIndex {
         for list in &mut listers {
             list.dedup();
         }
-        SealIndex { columns, listers }
+        SealIndex { columns, listers: listers.into_iter().map(Arc::new).collect() }
     }
+
+    /// Re-derive `u`'s columns and lister entries; `listed_before` is
+    /// what [`listed_schools`] said before the edit (empty for a user
+    /// the index has not seen).
+    fn update(&mut self, u: &User, listed_before: &[SchoolId]) {
+        if u.id.index() == self.columns.len() {
+            self.columns.push(UserColumns::row(u));
+        } else {
+            self.columns.set(u.id, UserColumns::row(u));
+        }
+        let listed_after = listed_schools(u);
+        for s in listed_before.iter().filter(|s| !listed_after.contains(s)) {
+            if let Some(list) = self.listers.get_mut(s.index()) {
+                let list = Arc::make_mut(list);
+                if let Ok(pos) = list.binary_search(&u.id) {
+                    list.remove(pos);
+                }
+            }
+        }
+        for s in listed_after.iter().filter(|s| !listed_before.contains(s)) {
+            if let Some(list) = self.listers.get_mut(s.index()) {
+                let list = Arc::make_mut(list);
+                if let Err(pos) = list.binary_search(&u.id) {
+                    list.insert(pos, u.id);
+                }
+            }
+        }
+    }
+}
+
+/// The distinct schools `u`'s profile ties them to (the lister index key).
+fn listed_schools(u: &User) -> Vec<SchoolId> {
+    let mut schools: Vec<SchoolId> = u.profile.education.iter().map(|e| e.school).collect();
+    schools.extend_from_slice(&u.profile.networks);
+    schools.sort_unstable();
+    schools.dedup();
+    schools
 }
 
 impl Network {
@@ -211,28 +295,27 @@ impl Network {
     }
 
     /// [`Network::new`] with room for `users` accounts, so metro-scale
-    /// builds don't re-grow the user and adjacency tables on every
-    /// insert.
+    /// builds don't re-grow the adjacency table on every insert. (Users
+    /// fill fixed-size chunks and never re-grow.)
     pub fn with_capacity(today: Date, users: usize) -> Self {
         let mut friends = FriendGraph::default();
         friends.reserve(users);
         Network {
             today,
             calendar: SchoolCalendar::default(),
-            users: Vec::with_capacity(users),
+            users: Chunked::default(),
             friends,
-            schools: Vec::new(),
-            cities: Vec::new(),
-            households: Households::new(),
-            circles: Circles::default(),
-            interactions: Interactions::default(),
+            schools: Arc::default(),
+            cities: Arc::default(),
+            households: Arc::default(),
+            circles: Arc::default(),
+            interactions: Arc::default(),
             seal: None,
         }
     }
 
     /// Reserve room for `additional` more users.
     pub fn reserve(&mut self, additional: usize) {
-        self.users.reserve(additional);
         self.friends.reserve(self.users.len() + additional);
     }
 
@@ -252,12 +335,6 @@ impl Network {
         self.seal.is_some()
     }
 
-    /// Drop seal-time indexes (called by every mutating accessor; the
-    /// adjacency thaws lazily inside [`FriendGraph`]).
-    fn unseal(&mut self) {
-        self.seal = None;
-    }
-
     /// Seal-time SoA columns, if sealed.
     pub fn sealed_columns(&self) -> Option<&UserColumns> {
         self.seal.as_ref().map(|s| &s.columns)
@@ -267,49 +344,69 @@ impl Network {
     /// them to `school`, in id order. `None` when unsealed (callers
     /// fall back to a full scan).
     pub fn school_listers(&self, school: SchoolId) -> Option<&[UserId]> {
-        self.seal.as_ref().map(|s| s.listers.get(school.index()).map(Vec::as_slice).unwrap_or(&[]))
+        self.seal
+            .as_ref()
+            .map(|s| s.listers.get(school.index()).map(|l| l.as_slice()).unwrap_or(&[]))
     }
 
     // ----- construction ---------------------------------------------------
 
     /// Register a city, returning its id.
     pub fn add_city(&mut self, name: impl Into<Sym>, state: impl Into<Sym>) -> CityId {
-        self.unseal();
-        let id = CityId::from_index(self.cities.len());
-        self.cities.push(City { id, name: name.into(), state: state.into() });
+        let cities = Arc::make_mut(&mut self.cities);
+        let id = CityId::from_index(cities.len());
+        cities.push(City { id, name: name.into(), state: state.into() });
         id
     }
 
     /// Register a school, returning its id.
     pub fn add_school(&mut self, school: School) -> SchoolId {
-        self.unseal();
-        let id = SchoolId::from_index(self.schools.len());
+        let schools = Arc::make_mut(&mut self.schools);
+        let id = SchoolId::from_index(schools.len());
         let mut school = school;
         school.id = id;
-        self.schools.push(school);
+        schools.push(school);
+        if let Some(seal) = &mut self.seal {
+            seal.listers.push(Arc::default());
+        }
         id
     }
 
     /// Add a user; the `id` field is overwritten with the assigned id.
+    /// A sealed network stays sealed.
     pub fn add_user(&mut self, mut user: User) -> UserId {
-        self.unseal();
         let id = UserId::from_index(self.users.len());
         user.id = id;
+        if let Some(seal) = &mut self.seal {
+            seal.update(&user, &[]);
+        }
         self.users.push(user);
         self.friends.ensure_users(self.users.len());
         id
     }
 
+    /// Edit user `id` in place (their `id` field is kept) and re-derive
+    /// their seal-index entries, so a sealed network stays sealed.
+    pub fn update_user(&mut self, id: UserId, edit: impl FnOnce(&mut User)) {
+        let user = self.users.make_mut(id.index());
+        let listed_before = self.seal.as_ref().map(|_| listed_schools(user));
+        edit(user);
+        user.id = id;
+        if let (Some(seal), Some(before)) = (&mut self.seal, listed_before) {
+            seal.update(user, &before);
+        }
+    }
+
     /// Add a symmetric friendship.
     pub fn add_friendship(&mut self, a: UserId, b: UserId) -> bool {
         debug_assert!(a.index() < self.users.len() && b.index() < self.users.len());
-        self.unseal();
         self.friends.add_friendship(a, b)
     }
 
     /// Bulk-insert friendships (see [`FriendGraph::bulk_insert`]).
+    /// Thaws the adjacency, so the network unseals.
     pub fn add_friendships_bulk(&mut self, edges: impl IntoIterator<Item = (UserId, UserId)>) {
-        self.unseal();
+        self.seal = None;
         self.friends.bulk_insert(edges);
         self.friends.ensure_users(self.users.len());
     }
@@ -317,9 +414,9 @@ impl Network {
     /// Install a pre-built (typically CSR, via
     /// [`FriendGraph::from_edge_list`]) adjacency wholesale — the
     /// metro-scale path that never materializes per-user edge `Vec`s.
-    /// The graph is grown to cover every user.
+    /// The graph is grown to cover every user; the network unseals.
     pub fn set_friend_graph(&mut self, mut friends: FriendGraph) {
-        self.unseal();
+        self.seal = None;
         friends.ensure_users(self.users.len());
         self.friends = friends;
     }
@@ -327,7 +424,6 @@ impl Network {
     /// Remove a symmetric friendship (live-world defriending). Returns
     /// `true` if the edge existed.
     pub fn remove_friendship(&mut self, a: UserId, b: UserId) -> bool {
-        self.unseal();
         self.friends.remove_friendship(a, b)
     }
 
@@ -399,11 +495,6 @@ impl Network {
         self.users.get(id.index())
     }
 
-    pub fn user_mut(&mut self, id: UserId) -> &mut User {
-        self.unseal();
-        &mut self.users[id.index()]
-    }
-
     pub fn users(&self) -> impl Iterator<Item = &User> {
         self.users.iter()
     }
@@ -438,8 +529,7 @@ impl Network {
     }
 
     pub fn circles_mut(&mut self) -> &mut Circles {
-        self.unseal();
-        &mut self.circles
+        Arc::make_mut(&mut self.circles)
     }
 
     /// Pairwise interactions (wall-post counts between friends).
@@ -448,8 +538,7 @@ impl Network {
     }
 
     pub fn interactions_mut(&mut self) -> &mut Interactions {
-        self.unseal();
-        &mut self.interactions
+        Arc::make_mut(&mut self.interactions)
     }
 
     /// Ground-truth households (the substrate behind public records).
@@ -458,8 +547,7 @@ impl Network {
     }
 
     pub fn households_mut(&mut self) -> &mut Households {
-        self.unseal();
-        &mut self.households
+        Arc::make_mut(&mut self.households)
     }
 
     /// Sorted friend list of `u` (ground truth; the platform decides who
@@ -510,14 +598,7 @@ impl Network {
     /// `school` with accounts, sorted by id.
     pub fn roster(&self, school: SchoolId) -> Vec<UserId> {
         if let Some(s) = &self.seal {
-            let c = &s.columns;
-            return (0..c.role_tag.len())
-                .filter(|&i| {
-                    c.role_tag[i] == UserColumns::CURRENT_STUDENT
-                        && c.role_school[i] == school.index() as u32
-                })
-                .map(UserId::from_index)
-                .collect();
+            return s.columns.select(UserColumns::CURRENT_STUDENT, school, None);
         }
         self.users.iter().filter(|u| u.role.is_current_student_at(school)).map(|u| u.id).collect()
     }
@@ -525,15 +606,7 @@ impl Network {
     /// Ground-truth roster restricted to the class of `grad_year`.
     pub fn roster_for_class(&self, school: SchoolId, grad_year: i32) -> Vec<UserId> {
         if let Some(s) = &self.seal {
-            let c = &s.columns;
-            return (0..c.role_tag.len())
-                .filter(|&i| {
-                    c.role_tag[i] == UserColumns::CURRENT_STUDENT
-                        && c.role_school[i] == school.index() as u32
-                        && c.grad_year[i] == grad_year
-                })
-                .map(UserId::from_index)
-                .collect();
+            return s.columns.select(UserColumns::CURRENT_STUDENT, school, Some(grad_year));
         }
         self.users
             .iter()
@@ -548,15 +621,7 @@ impl Network {
     /// Ground-truth alumni of `school` who graduated in `grad_year`.
     pub fn alumni_of_class(&self, school: SchoolId, grad_year: i32) -> Vec<UserId> {
         if let Some(s) = &self.seal {
-            let c = &s.columns;
-            return (0..c.role_tag.len())
-                .filter(|&i| {
-                    c.role_tag[i] == UserColumns::ALUMNUS
-                        && c.role_school[i] == school.index() as u32
-                        && c.grad_year[i] == grad_year
-                })
-                .map(UserId::from_index)
-                .collect();
+            return s.columns.select(UserColumns::ALUMNUS, school, Some(grad_year));
         }
         self.users
             .iter()
@@ -572,11 +637,7 @@ impl Network {
     pub fn student_grad_year(&self, u: UserId) -> Option<i32> {
         if let Some(s) = &self.seal {
             let c = &s.columns;
-            return if c.role_tag[u.index()] == UserColumns::CURRENT_STUDENT {
-                Some(c.grad_year[u.index()])
-            } else {
-                None
-            };
+            return (c.role_tag(u) == UserColumns::CURRENT_STUDENT).then(|| c.grad_year[u.index()]);
         }
         match self.user(u).role {
             Role::CurrentStudent { grad_year, .. } => Some(grad_year),
@@ -587,14 +648,18 @@ impl Network {
 
 // Hand-written serde over exactly the nine legacy fields: the `seal`
 // index must never serialize (it is derived state, and including it
-// would shift every pre-existing fingerprint). Key order is irrelevant
-// to the byte stream — the `Value` object is a BTreeMap.
+// would shift every pre-existing fingerprint), and the shared chunks
+// and `Arc`s are invisible. Key order is irrelevant to the byte stream
+// — the `Value` object is a BTreeMap.
 impl Serialize for Network {
     fn to_json_value(&self) -> Value {
         let mut m = Map::new();
         m.insert("today".to_string(), self.today.to_json_value());
         m.insert("calendar".to_string(), self.calendar.to_json_value());
-        m.insert("users".to_string(), self.users.to_json_value());
+        m.insert(
+            "users".to_string(),
+            Value::Array(self.users.iter().map(|u| u.to_json_value()).collect()),
+        );
         m.insert("friends".to_string(), self.friends.to_json_value());
         m.insert("schools".to_string(), self.schools.to_json_value());
         m.insert("cities".to_string(), self.cities.to_json_value());
@@ -613,13 +678,13 @@ impl<'de> Deserialize<'de> for Network {
         Ok(Network {
             today: Date::from_json_value(field(v, "today")?)?,
             calendar: SchoolCalendar::from_json_value(field(v, "calendar")?)?,
-            users: Vec::<User>::from_json_value(field(v, "users")?)?,
+            users: Vec::<User>::from_json_value(field(v, "users")?)?.into_iter().collect(),
             friends: FriendGraph::from_json_value(field(v, "friends")?)?,
-            schools: Vec::<School>::from_json_value(field(v, "schools")?)?,
-            cities: Vec::<City>::from_json_value(field(v, "cities")?)?,
-            households: Households::from_json_value(field(v, "households")?)?,
-            circles: Circles::from_json_value(field(v, "circles")?)?,
-            interactions: Interactions::from_json_value(field(v, "interactions")?)?,
+            schools: Arc::new(Vec::<School>::from_json_value(field(v, "schools")?)?),
+            cities: Arc::new(Vec::<City>::from_json_value(field(v, "cities")?)?),
+            households: Arc::new(Households::from_json_value(field(v, "households")?)?),
+            circles: Arc::new(Circles::from_json_value(field(v, "circles")?)?),
+            interactions: Arc::new(Interactions::from_json_value(field(v, "interactions")?)?),
             seal: None,
         })
     }
@@ -806,8 +871,8 @@ mod tests {
         let (mut net, school) = base_network();
         let a = mk_user(&mut net, Role::OtherResident);
         let b = mk_user(&mut net, Role::OtherResident);
-        net.user_mut(a).profile.networks.push(school);
-        net.user_mut(b).profile.networks.push(school);
+        net.update_user(a, |u| u.profile.networks.push(school));
+        net.update_user(b, |u| u.profile.networks.push(school));
         assert!(!net.is_stranger(a, b));
     }
 
@@ -834,10 +899,14 @@ mod tests {
         let s2 = mk_user(&mut net, Role::CurrentStudent { school, grad_year: 2013 });
         let al = mk_user(&mut net, Role::Alumnus { school, grad_year: 2008 });
         let pa = mk_user(&mut net, Role::Parent { children: vec![s1] });
-        net.user_mut(s1).profile.education.push(EducationEntry::high_school(school, 2014));
-        net.user_mut(s2).profile.networks.push(school);
-        net.user_mut(al).profile.education.push(EducationEntry::high_school(school, 2008));
-        net.user_mut(al).profile.education.push(EducationEntry::college(college, None));
+        net.update_user(s1, |u| {
+            u.profile.education.push(EducationEntry::high_school(school, 2014))
+        });
+        net.update_user(s2, |u| u.profile.networks.push(school));
+        net.update_user(al, |u| {
+            u.profile.education.push(EducationEntry::high_school(school, 2008));
+            u.profile.education.push(EducationEntry::college(college, None));
+        });
         net.add_friendship(s1, s2);
         net.add_friendship(s1, al);
         net.add_friendship(pa, s1);
@@ -917,17 +986,24 @@ mod tests {
     }
 
     #[test]
-    fn mutation_unseals() {
+    fn live_edits_keep_the_seal() {
         let mut net = populated_network();
         net.seal();
-        assert!(net.is_sealed());
-        let u = net.user_ids().next().unwrap();
-        let _ = net.user_mut(u);
-        assert!(!net.is_sealed(), "user_mut must drop the seal index");
-        net.seal();
         net.add_friendship(UserId(0), UserId(3));
-        assert!(!net.is_sealed(), "edge mutation must drop the seal index");
+        assert!(net.is_sealed(), "edge edits patch the sealed adjacency");
+        assert!(net.friend_graph().is_sealed());
         assert!(net.are_friends(UserId(0), UserId(3)));
+        assert!(net.remove_friendship(UserId(0), UserId(3)));
+        assert!(!net.are_friends(UserId(3), UserId(0)));
+        // A user edit re-derives the columns and the listers.
+        let school = net.schools()[0].id;
+        net.update_user(UserId(3), |user| {
+            user.privacy.public_search = false;
+            user.profile.networks.push(school);
+        });
+        assert!(net.is_sealed());
+        assert!(!net.sealed_columns().unwrap().public_search(UserId(3)));
+        assert!(net.school_listers(school).unwrap().contains(&UserId(3)));
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::config::PlatformConfig;
 use crate::faults::FaultEngine;
 use crate::mutations::{MutationEngine, WorldGen};
 use crate::render;
-use crate::search::SearchIndex;
 use hsp_defense::{session_account_index, SybilDetector, Verdict};
 use hsp_graph::{CityId, Network, SchoolId, UserId};
 use hsp_http::resilient::{
@@ -17,6 +16,7 @@ use hsp_obs::trace::{SpanRecord, SLOT_SERVER};
 use hsp_obs::{Counter, Registry, RouteMetrics, TraceCtx, VirtualClock};
 use hsp_policy::Policy;
 use serde_json::json;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -63,10 +63,9 @@ pub struct Platform {
     pub faults: Arc<FaultEngine>,
     /// Behavioral sybil detector (a strict no-op when `Off`).
     pub defense: Arc<SybilDetector>,
-    /// Live-world mutation engine (not live under the default plan, in
-    /// which case every handler bypasses it entirely).
+    /// Live-world mutation engine. Its generation 0 is the frozen world
+    /// every handler serves when the plan is not live (the default).
     pub mutations: Arc<MutationEngine>,
-    search: SearchIndex,
 }
 
 impl Platform {
@@ -113,7 +112,6 @@ impl Platform {
             faults,
             defense,
             mutations,
-            search: SearchIndex::new(),
         })
     }
 
@@ -477,22 +475,28 @@ impl Platform {
             .ok_or_else(|| Response::error(Status::NOT_FOUND, "no such user"))
     }
 
-    /// The world snapshot this request must be served from, or `None`
-    /// when the world is frozen (the default) and handlers take their
-    /// original byte-identical paths. Live requests are resolved at the
-    /// seat clock they carry in `x-virtual-now-ms` — the crawler's
-    /// per-account timelines — falling back to the platform clock for
-    /// header-less clients.
-    fn live_world(&self, req: &Request) -> Option<Arc<WorldGen>> {
+    /// The world `req` is served from. A frozen platform serves
+    /// generation 0 to every request without reading its clock header,
+    /// taking the engine's lock or tallying a serve. A live one resolves
+    /// the seat clock the request carries in `x-virtual-now-ms` — the
+    /// crawler's per-account timelines — falling back to the platform
+    /// clock for header-less clients.
+    fn world(&self, req: &Request) -> Cow<'_, Arc<WorldGen>> {
         if !self.mutations.is_live() {
-            return None;
+            return Cow::Borrowed(self.mutations.base());
         }
         let now = req
             .headers
             .get(H_VIRTUAL_NOW)
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| self.clock.now_ms());
-        Some(self.mutations.world_at(now))
+        Cow::Owned(self.mutations.world_at(now))
+    }
+
+    /// A page's `data-gen` stamp: `gen` on a live platform, none on a
+    /// frozen one, whose pages carry no stamps.
+    fn stamp(&self, gen: u64) -> Option<u64> {
+        self.mutations.is_live().then_some(gen)
     }
 
     // ---- handlers -----------------------------------------------------------
@@ -533,25 +537,15 @@ impl Platform {
             return Response::error(Status::NOT_FOUND, "no such school");
         }
         let page: usize = req.query_param("page").and_then(|p| p.parse().ok()).unwrap_or(0);
-        let live = self.live_world(req);
-        let (net, search): (&Network, &SearchIndex) = match &live {
-            Some(w) => (w.network.as_ref(), &w.search),
-            None => (&self.network, &self.search),
-        };
+        let w = self.world(req);
+        let net = &w.network;
         let (ids, has_more) =
-            search.page(net, self.policy.as_ref(), &self.config, school, account, page);
+            w.search.page(net, self.policy.as_ref(), &self.config, school, account, page);
         let entries: Vec<(UserId, String)> =
             ids.into_iter().map(|u| (u, net.user(u).profile.full_name())).collect();
         let next = has_more.then(|| format!("/find-friends?school={school}&page={}", page + 1));
-        match &live {
-            Some(w) => Response::html(render::listing_page_stamped(
-                "results",
-                &entries,
-                next,
-                w.generation as u64,
-            )),
-            None => Response::html(render::listing_page("results", &entries, next)),
-        }
+        let stamp = self.stamp(w.generation as u64);
+        Response::html(render::listing_page_inner("results", &entries, next, stamp))
     }
 
     fn handle_graph_search(&self, req: &Request) -> Response {
@@ -567,12 +561,9 @@ impl Platform {
         }
         let current_only = req.query_param("current").as_deref() == Some("1");
         let city = req.query_param("city").as_deref().and_then(CityId::parse);
-        let live = self.live_world(req);
-        let (net, search): (&Network, &SearchIndex) = match &live {
-            Some(w) => (w.network.as_ref(), &w.search),
-            None => (&self.network, &self.search),
-        };
-        let ids = search.graph_search(
+        let w = self.world(req);
+        let net = &w.network;
+        let ids = w.search.graph_search(
             net,
             self.policy.as_ref(),
             &self.config,
@@ -583,61 +574,45 @@ impl Platform {
         );
         let entries: Vec<(UserId, String)> =
             ids.into_iter().map(|u| (u, net.user(u).profile.full_name())).collect();
-        match &live {
-            Some(w) => Response::html(render::listing_page_stamped(
-                "results",
-                &entries,
-                None,
-                w.generation as u64,
-            )),
-            None => Response::html(render::listing_page("results", &entries, None)),
-        }
+        let stamp = self.stamp(w.generation as u64);
+        Response::html(render::listing_page_inner("results", &entries, None, stamp))
     }
 
     fn handle_profile(&self, req: &Request, uid: Option<&str>) -> Response {
         if let Err(resp) = self.session_account(req) {
             return resp;
         }
-        let live = self.live_world(req);
-        let net = live.as_ref().map(|w| w.network.as_ref()).unwrap_or(&self.network);
-        let uid = match self.parse_user(uid, net) {
+        let w = self.world(req);
+        let uid = match self.parse_user(uid, &w.network) {
             Ok(u) => u,
             Err(resp) => return resp,
         };
-        if let Some(w) = &live {
-            // A tombstone is an answer, not an error: deactivated and
-            // graduated-away users get a minimal marker page so the
-            // crawler can degrade to a Completeness disclosure.
-            if w.tombstoned(uid) {
-                return Response::html(render::tombstone_page(uid, w.user_generation(uid)));
-            }
-            let view = self.policy.stranger_view(net, uid);
-            return Response::html(render::profile_page_stamped(
-                net,
-                &view,
-                w.user_generation(uid),
-            ));
+        // A tombstone is an answer, not an error: deactivated and
+        // graduated-away users get a minimal marker page so the crawler
+        // can degrade to a Completeness disclosure.
+        if w.tombstoned(uid) {
+            return Response::html(render::tombstone_page(uid, w.user_generation(uid)));
         }
-        let view = self.policy.stranger_view(&self.network, uid);
-        Response::html(render::profile_page(&self.network, &view))
+        let view = self.policy.stranger_view(&w.network, uid);
+        let stamp = self.stamp(w.user_generation(uid));
+        Response::html(render::profile_page_inner(&w.network, &view, stamp))
     }
 
     fn handle_friends(&self, req: &Request, uid: Option<&str>) -> Response {
         if let Err(resp) = self.session_account(req) {
             return resp;
         }
-        let live = self.live_world(req);
-        let net = live.as_ref().map(|w| w.network.as_ref()).unwrap_or(&self.network);
+        let w = self.world(req);
+        let net = &w.network;
         let uid = match self.parse_user(uid, net) {
             Ok(u) => u,
             Err(resp) => return resp,
         };
-        if live.as_ref().is_some_and(|w| w.tombstoned(uid)) {
-            // Same refusal as a hidden list: the tombstone's *profile*
-            // page tells the crawler why.
-            return Response::error(Status::FORBIDDEN, "friend list not visible");
-        }
-        let Some(friends) = self.policy.visible_friend_list(net, uid) else {
+        // Same refusal as a hidden list: the tombstone's *profile* page
+        // tells the crawler why.
+        let visible =
+            if w.tombstoned(uid) { None } else { self.policy.visible_friend_list(net, uid) };
+        let Some(friends) = visible else {
             return Response::error(Status::FORBIDDEN, "friend list not visible");
         };
         let page: usize = req.query_param("page").and_then(|p| p.parse().ok()).unwrap_or(0);
@@ -648,15 +623,8 @@ impl Platform {
         let entries: Vec<(UserId, String)> =
             friends[start..end].iter().map(|&u| (u, net.user(u).profile.full_name())).collect();
         let next = has_more.then(|| format!("/friends/{uid}?page={}", page + 1));
-        match &live {
-            Some(w) => Response::html(render::listing_page_stamped(
-                "friends",
-                &entries,
-                next,
-                w.user_generation(uid),
-            )),
-            None => Response::html(render::listing_page("friends", &entries, next)),
-        }
+        let stamp = self.stamp(w.user_generation(uid));
+        Response::html(render::listing_page_inner("friends", &entries, next, stamp))
     }
 
     /// Google+ circles pages: `?dir=in` ("in your circles", outgoing) or
@@ -666,7 +634,9 @@ impl Platform {
         if let Err(resp) = self.session_account(req) {
             return resp;
         }
-        let uid = match self.parse_user(uid, &self.network) {
+        let w = self.world(req);
+        let net = &w.network;
+        let uid = match self.parse_user(uid, net) {
             Ok(u) => u,
             Err(resp) => return resp,
         };
@@ -675,7 +645,10 @@ impl Platform {
             Some("in") | None => false,
             Some(_) => return Response::error(Status::BAD_REQUEST, "dir must be in|has"),
         };
-        let Some(list) = self.policy.visible_circles(&self.network, uid, incoming) else {
+        // Tombstoned users' circles are refused like their friend lists.
+        let visible =
+            if w.tombstoned(uid) { None } else { self.policy.visible_circles(net, uid, incoming) };
+        let Some(list) = visible else {
             return Response::error(Status::FORBIDDEN, "circles not visible");
         };
         let page: usize = req.query_param("page").and_then(|p| p.parse().ok()).unwrap_or(0);
@@ -683,30 +656,24 @@ impl Platform {
         let start = page.saturating_mul(per).min(list.len());
         let end = (start + per).min(list.len());
         let has_more = end < list.len();
-        let entries: Vec<(UserId, String)> = list[start..end]
-            .iter()
-            .map(|&u| (u, self.network.user(u).profile.full_name()))
-            .collect();
+        let entries: Vec<(UserId, String)> =
+            list[start..end].iter().map(|&u| (u, net.user(u).profile.full_name())).collect();
         let dir = if incoming { "has" } else { "in" };
         let next = has_more.then(|| format!("/circles/{uid}?dir={dir}&page={}", page + 1));
-        Response::html(render::listing_page("circles", &entries, next))
+        let stamp = self.stamp(w.user_generation(uid));
+        Response::html(render::listing_page_inner("circles", &entries, next, stamp))
     }
 
     fn handle_message(&self, req: &Request, uid: Option<&str>) -> Response {
         if let Err(resp) = self.session_account(req) {
             return resp;
         }
-        let live = self.live_world(req);
-        let net = live.as_ref().map(|w| w.network.as_ref()).unwrap_or(&self.network);
-        let uid = match self.parse_user(uid, net) {
+        let w = self.world(req);
+        let uid = match self.parse_user(uid, &w.network) {
             Ok(u) => u,
             Err(resp) => return resp,
         };
-        if live.as_ref().is_some_and(|w| w.tombstoned(uid)) {
-            return Response::error(Status::FORBIDDEN, "cannot message this user");
-        }
-        let view = self.policy.stranger_view(net, uid);
-        if !view.message_button {
+        if w.tombstoned(uid) || !self.policy.stranger_view(&w.network, uid).message_button {
             return Response::error(Status::FORBIDDEN, "cannot message this user");
         }
         Response::text("message delivered")
@@ -1106,6 +1073,54 @@ mod tests {
                 .header(H_VIRTUAL_NOW, "1000"),
         );
         assert_eq!(friends.status, Status::FORBIDDEN);
+    }
+
+    #[test]
+    fn circles_follow_the_live_world() {
+        use crate::mutations::MutationPlan;
+        use hsp_policy::GooglePlusPolicy;
+        let scenario = generate(&ScenarioConfig::tiny());
+        let net = Arc::new(scenario.network.clone());
+        let make = |mutations: MutationPlan| {
+            let platform = Platform::new(
+                Arc::clone(&net),
+                Arc::new(GooglePlusPolicy::new()),
+                PlatformConfig { mutations, ..PlatformConfig::default() },
+            );
+            let handler = platform.into_handler();
+            let cookie = login(&handler, "spy");
+            (platform, handler, cookie)
+        };
+        let (_fp, frozen, cf) = make(MutationPlan::none());
+        let plan =
+            MutationPlan { enabled: true, rollover_at_ms: vec![1_000], ..MutationPlan::none() };
+        let (_lp, live, cl) = make(plan);
+        let seniors = scenario
+            .network
+            .roster_for_class(scenario.school, scenario.network.senior_class_year());
+        assert!(!seniors.is_empty(), "tiny scenario has no seniors");
+        let get = |handler: &Arc<dyn Handler>, cookie: &str, path: String, now: Option<&str>| {
+            let req = Request::get(path).header("Cookie", cookie);
+            let req = match now {
+                Some(now) => req.header(H_VIRTUAL_NOW, now),
+                None => req,
+            };
+            handler.handle(&req).status
+        };
+        // The seniors whose circles a stranger may see on the frozen world.
+        let open: Vec<UserId> = seniors
+            .into_iter()
+            .filter(|s| get(&frozen, &cf, format!("/circles/{s}?dir=in"), None) == Status::OK)
+            .collect();
+        assert!(!open.is_empty(), "no senior has visible circles");
+        for &s in &open {
+            let circles = format!("/circles/{s}?dir=in");
+            assert_eq!(get(&live, &cl, circles.clone(), Some("999")), Status::OK, "before {s}");
+            // Graduated away at the rollover: refused like the friend list.
+            assert_eq!(get(&live, &cl, circles, Some("1000")), Status::FORBIDDEN, "after {s}");
+            let friends = format!("/friends/{s}");
+            assert_eq!(get(&live, &cl, friends, Some("1000")), Status::FORBIDDEN, "friends {s}");
+        }
     }
 
     #[test]

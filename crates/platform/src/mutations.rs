@@ -21,9 +21,18 @@
 //! engine's [`state digest`](MutationEngine::state_digest) — replay
 //! bit-identically at any worker count.
 //!
+//! Generations share structure. The base network is generation 0, held
+//! outside the engine's lock; every later generation is a clone of its
+//! nearest cached ancestor plus the missing events, and a `Network`
+//! clone shares every chunk, list and table an event does not write, so
+//! a generation costs what its events touch. Events edit only through
+//! the methods that keep the network sealed, so every generation keeps
+//! the seal-time indexes that search fills read.
+//!
 //! A plan with no enabled rates (or `enabled: false`) produces an empty
-//! schedule: [`MutationEngine::is_live`] is `false`, the platform
-//! handlers bypass the engine entirely, and a mutation-rate-zero run is
+//! schedule: [`MutationEngine::is_live`] is `false`, the platform serves
+//! every request from generation 0 without reading its clock, taking the
+//! engine's lock or tallying a serve, and a mutation-rate-zero run is
 //! byte-identical to the frozen-world baseline.
 
 use crate::search::SearchIndex;
@@ -42,7 +51,8 @@ use std::sync::Arc;
 /// mixes lanes with wrapping arithmetic, so the all-ones lane is safe.
 pub const WORLD_LANE: u64 = u64::MAX;
 
-/// Maximum memoized world snapshots (generation 0 is always retained).
+/// Maximum memoized world snapshots, generation 0 included (it is
+/// always retained).
 /// Eviction only trades CPU for memory: a world is a pure function of
 /// its generation, so rebuilding an evicted one changes nothing.
 const MAX_CACHED_WORLDS: usize = 16;
@@ -173,7 +183,8 @@ impl MutationEvent {
 
 /// An immutable snapshot of the world after the first `generation`
 /// scheduled events. Each snapshot owns its own [`SearchIndex`], so
-/// search pools always reflect this generation's graph and privacy.
+/// search pools always reflect this generation's graph and privacy;
+/// generation 0's is the frozen platform's.
 pub struct WorldGen {
     pub generation: usize,
     pub network: Arc<Network>,
@@ -200,10 +211,10 @@ impl WorldGen {
     }
 }
 
-/// Mutable engine bookkeeping, all behind one lock: memoized worlds,
-/// the first-application watermark (events below it have been counted,
-/// digested and span-recorded exactly once), and per-generation serve
-/// tallies.
+/// Mutable engine bookkeeping, all behind one lock: memoized worlds
+/// after generation 0, the first-application watermark (events below it
+/// have been counted, digested and span-recorded exactly once), and
+/// per-generation serve tallies.
 struct EngineState {
     worlds: BTreeMap<usize, Arc<WorldGen>>,
     applied_watermark: usize,
@@ -217,6 +228,8 @@ struct EngineState {
 pub struct MutationEngine {
     plan: MutationPlan,
     schedule: Vec<(u64, MutationEvent)>,
+    /// Generation 0: the base network, as the platform mounted it.
+    base: Arc<WorldGen>,
     state: Mutex<EngineState>,
     obs: Arc<Registry>,
 }
@@ -308,9 +321,9 @@ fn build_schedule(plan: &MutationPlan) -> Vec<(u64, MutationEvent)> {
     events
 }
 
-/// Apply one event to a working world. Returns a canonical resolution
-/// line (folded into the state digest) and the users it touched (whose
-/// `data-gen` stamps bump).
+/// Apply one event to a working world through the edits that keep it
+/// sealed. Returns a canonical resolution line (folded into the state
+/// digest) and the users it touched (whose `data-gen` stamps bump).
 fn apply_event(
     net: &mut Network,
     tombstones: &mut BTreeSet<UserId>,
@@ -353,17 +366,19 @@ fn apply_event(
         }
         MutationEvent::PrivacyFlip { u, lock } => {
             let u = UserId::from_index((u % count) as usize);
-            net.user_mut(u).privacy = if *lock {
-                PrivacySettings::locked_down()
-            } else {
-                PrivacySettings::maximum_sharing()
-            };
+            net.update_user(u, |user| {
+                user.privacy = if *lock {
+                    PrivacySettings::locked_down()
+                } else {
+                    PrivacySettings::maximum_sharing()
+                }
+            });
             (format!("privacy_flip:{u}:{}", if *lock { "lock" } else { "open" }), vec![u])
         }
         MutationEvent::Deactivate { u } => {
             let u = UserId::from_index((u % count) as usize);
             if tombstones.insert(u) {
-                net.user_mut(u).privacy = PrivacySettings::locked_down();
+                net.update_user(u, |user| user.privacy = PrivacySettings::locked_down());
                 (format!("deactivate:{u}"), vec![u])
             } else {
                 (format!("deactivate:{u}:noop"), Vec::new())
@@ -379,9 +394,11 @@ fn apply_event(
                 })
                 .collect();
             for &g in &grads {
-                if let Role::CurrentStudent { school, grad_year } = net.user(g).role {
-                    net.user_mut(g).role = Role::Alumnus { school, grad_year };
-                }
+                net.update_user(g, |user| {
+                    if let Role::CurrentStudent { school, grad_year } = user.role {
+                        user.role = Role::Alumnus { school, grad_year };
+                    }
+                });
                 tombstones.insert(g);
             }
             (format!("rollover:{senior}:{}", grads.len()), grads)
@@ -392,22 +409,19 @@ fn apply_event(
 impl MutationEngine {
     pub fn new(plan: MutationPlan, base: Arc<Network>, obs: Arc<Registry>) -> Arc<MutationEngine> {
         let schedule = build_schedule(&plan);
-        let mut worlds = BTreeMap::new();
-        worlds.insert(
-            0,
-            Arc::new(WorldGen {
-                generation: 0,
-                network: base,
-                search: SearchIndex::new(),
-                tombstones: BTreeSet::new(),
-                user_gen: HashMap::new(),
-            }),
-        );
+        let base = Arc::new(WorldGen {
+            generation: 0,
+            network: base,
+            search: SearchIndex::new(),
+            tombstones: BTreeSet::new(),
+            user_gen: HashMap::new(),
+        });
         Arc::new(MutationEngine {
             plan,
             schedule,
+            base,
             state: Mutex::new(EngineState {
-                worlds,
+                worlds: BTreeMap::new(),
                 applied_watermark: 0,
                 events_digest: 0xcbf2_9ce4_8422_2325,
                 serves: BTreeMap::new(),
@@ -420,10 +434,15 @@ impl MutationEngine {
         &self.plan
     }
 
-    /// Whether the world actually moves. `false` means handlers bypass
-    /// the engine entirely — the strict-no-op guarantee.
+    /// Whether the world actually moves. `false` means handlers serve
+    /// [`MutationEngine::base`] untallied — the strict-no-op guarantee.
     pub fn is_live(&self) -> bool {
         self.plan.enabled && !self.schedule.is_empty()
+    }
+
+    /// Generation 0, the frozen world, read without the engine's lock.
+    pub fn base(&self) -> &Arc<WorldGen> {
+        &self.base
     }
 
     /// Total scheduled events over the plan's horizon.
@@ -448,16 +467,19 @@ impl MutationEngine {
         let generation = self.generation_at(now_ms);
         let mut st = self.state.lock();
         *st.serves.entry(generation).or_insert(0) += 1;
+        if generation == 0 {
+            return Arc::clone(&self.base);
+        }
         if let Some(w) = st.worlds.get(&generation) {
             return Arc::clone(w);
         }
         let world = self.build_world(&mut st, generation);
         st.worlds.insert(generation, Arc::clone(&world));
-        // Bounded memoization: drop the oldest non-base snapshots. A
-        // world is a pure function of its generation, so eviction can
-        // never change what any request observes.
-        while st.worlds.len() > MAX_CACHED_WORLDS {
-            let Some((&oldest, _)) = st.worlds.range(1..).next() else { break };
+        // Bounded memoization: drop the oldest snapshots. A world is a
+        // pure function of its generation, so eviction can never change
+        // what any request observes.
+        while st.worlds.len() >= MAX_CACHED_WORLDS {
+            let Some((&oldest, _)) = st.worlds.iter().next() else { break };
             if oldest == generation {
                 break;
             }
@@ -468,10 +490,14 @@ impl MutationEngine {
 
     /// Build generation `generation` from the nearest cached ancestor,
     /// applying (and, first time only, accounting) the missing events.
+    /// The clone shares the ancestor's structure; the events copy only
+    /// what they write.
     fn build_world(&self, st: &mut EngineState, generation: usize) -> Arc<WorldGen> {
-        let (&from, ancestor) =
-            st.worlds.range(..=generation).next_back().expect("generation 0 always cached");
-        let ancestor = Arc::clone(ancestor);
+        let ancestor = match st.worlds.range(..generation).next_back() {
+            Some((_, w)) => Arc::clone(w),
+            None => Arc::clone(&self.base),
+        };
+        let from = ancestor.generation;
         let mut net = (*ancestor.network).clone();
         let mut tombstones = ancestor.tombstones.clone();
         let mut user_gen = ancestor.user_gen.clone();
@@ -534,10 +560,17 @@ impl MutationEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsp_synth::{generate, ScenarioConfig};
+    use hsp_synth::{generate, metro, MetroConfig, ScenarioConfig};
 
     fn base() -> Arc<Network> {
         Arc::new(generate(&ScenarioConfig::tiny()).network.clone())
+    }
+
+    /// Both sealed layouts a base can arrive in: the scenario
+    /// generator's sealed builder adjacency, and the metro generator's
+    /// CSR built straight from an edge list.
+    fn bases() -> [Arc<Network>; 2] {
+        [base(), Arc::new(metro(&MetroConfig::tiny()).network)]
     }
 
     fn live_plan() -> MutationPlan {
@@ -590,38 +623,82 @@ mod tests {
 
     #[test]
     fn worlds_are_pure_functions_of_generation() {
-        let net = base();
-        let in_order = MutationEngine::new(live_plan(), Arc::clone(&net), Registry::shared());
-        let out_of_order = MutationEngine::new(live_plan(), net, Registry::shared());
-        // One engine walks forward; the other jumps to the end first,
-        // then revisits earlier instants (as racing seats would).
-        let far = in_order.world_at(120_000);
-        let mid = in_order.world_at(45_000);
-        let b_far = out_of_order.world_at(120_000);
-        let b_mid = out_of_order.world_at(45_000);
-        assert_eq!(far.generation, b_far.generation);
-        assert_eq!(far.network.fingerprint(), b_far.network.fingerprint());
-        assert_eq!(mid.network.fingerprint(), b_mid.network.fingerprint());
-        assert!(far.generation > mid.generation);
-        // Same serve pattern → same digest.
-        assert_eq!(in_order.state_digest(), out_of_order.state_digest());
+        for net in bases() {
+            let in_order = MutationEngine::new(live_plan(), Arc::clone(&net), Registry::shared());
+            let out_of_order = MutationEngine::new(live_plan(), net, Registry::shared());
+            // One engine walks forward; the other jumps to the end first,
+            // then revisits earlier instants (as racing seats would).
+            let far = in_order.world_at(120_000);
+            let mid = in_order.world_at(45_000);
+            let b_far = out_of_order.world_at(120_000);
+            let b_mid = out_of_order.world_at(45_000);
+            assert_eq!(far.generation, b_far.generation);
+            assert_eq!(far.network.fingerprint(), b_far.network.fingerprint());
+            assert_eq!(mid.network.fingerprint(), b_mid.network.fingerprint());
+            assert!(far.generation > mid.generation);
+            // Same serve pattern → same digest.
+            assert_eq!(in_order.state_digest(), out_of_order.state_digest());
+        }
     }
 
     #[test]
     fn eviction_preserves_world_identity() {
-        let net = base();
-        let eng = MutationEngine::new(live_plan(), Arc::clone(&net), Registry::shared());
-        // Touch many distinct generations to force eviction...
-        for t in (0..=120).map(|s| s * 1_000) {
-            eng.world_at(t);
+        for net in bases() {
+            let eng = MutationEngine::new(live_plan(), Arc::clone(&net), Registry::shared());
+            // Touch many distinct generations to force eviction...
+            for t in (0..=120).map(|s| s * 1_000) {
+                eng.world_at(t);
+            }
+            // ...then revisit an early instant and compare against a
+            // fresh engine that never evicted.
+            let revisited = eng.world_at(10_000);
+            let fresh = MutationEngine::new(live_plan(), net, Registry::shared());
+            let reference = fresh.world_at(10_000);
+            assert_eq!(revisited.generation, reference.generation);
+            assert_eq!(revisited.network.fingerprint(), reference.network.fingerprint());
         }
-        // ...then revisit an early instant and compare against a fresh
-        // engine that never evicted.
-        let revisited = eng.world_at(10_000);
-        let fresh = MutationEngine::new(live_plan(), net, Registry::shared());
-        let reference = fresh.world_at(10_000);
-        assert_eq!(revisited.generation, reference.generation);
-        assert_eq!(revisited.network.fingerprint(), reference.network.fingerprint());
+    }
+
+    /// Every generation keeps the seal, and equals the same events
+    /// applied to an unsealed builder copy of the base, so the sealed
+    /// patches and shared chunks change nothing a fingerprint sees.
+    #[test]
+    fn generations_stay_sealed_and_match_a_builder_replay() {
+        for net in bases() {
+            assert!(net.is_sealed());
+            let eng = MutationEngine::new(live_plan(), Arc::clone(&net), Registry::shared());
+            let mut builder = Network::from_json_value(&net.to_json_value()).expect("round-trip");
+            assert!(!builder.is_sealed());
+            let mut tombstones = BTreeSet::new();
+            let mut applied = 0;
+            let mut instants: Vec<u64> = eng.schedule.iter().map(|&(t, _)| t).collect();
+            instants.dedup();
+            for (i, &t) in instants.iter().enumerate() {
+                let world = eng.world_at(t);
+                assert!(world.network.is_sealed(), "generation {} unsealed", world.generation);
+                for (_, ev) in &eng.schedule[applied..world.generation] {
+                    apply_event(&mut builder, &mut tombstones, ev);
+                }
+                applied = world.generation;
+                assert_eq!(world.tombstones, tombstones);
+                let (sealed, built) = (world.network.friend_graph(), builder.friend_graph());
+                assert!(sealed.iter_lists().eq(built.iter_lists()), "generation {applied}");
+                // An unoptimized fingerprint of the metro base takes
+                // ~0.4 s, so the whole world is compared at every 16th
+                // instant and the last.
+                if i % 16 == 0 || i + 1 == instants.len() {
+                    assert_eq!(
+                        world.network.fingerprint(),
+                        builder.fingerprint(),
+                        "generation {applied}"
+                    );
+                }
+            }
+            assert_eq!(applied, eng.event_count());
+            // Generation 0 is the base itself, untouched by the rest.
+            assert!(Arc::ptr_eq(&eng.world_at(0).network, &net));
+            assert_eq!(net.fingerprint(), eng.base().network.fingerprint());
+        }
     }
 
     #[test]

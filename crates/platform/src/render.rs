@@ -34,7 +34,8 @@ pub fn profile_page_stamped(net: &Network, view: &PublicView, gen: u64) -> Strin
     profile_page_inner(net, view, Some(gen))
 }
 
-fn profile_page_inner(net: &Network, view: &PublicView, gen: Option<u64>) -> String {
+/// [`profile_page`] when `gen` is `None`, else [`profile_page_stamped`].
+pub(crate) fn profile_page_inner(net: &Network, view: &PublicView, gen: Option<u64>) -> String {
     let mut root = el("div").id("profile").attr("data-uid", view.user.to_string());
     if let Some(g) = gen {
         root = root.attr("data-gen", g.to_string());
@@ -185,7 +186,8 @@ pub fn listing_page_stamped(
     listing_page_inner(list_id, entries, next_url, Some(gen))
 }
 
-fn listing_page_inner(
+/// [`listing_page`] when `gen` is `None`, else [`listing_page_stamped`].
+pub(crate) fn listing_page_inner(
     list_id: &str,
     entries: &[(UserId, String)],
     next_url: Option<String>,

@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn young_adult_cap_respects_existing_privacy() {
         let (mut net, _school, _lying, alumnus) = world();
-        net.user_mut(alumnus).privacy.friend_list = Audience::Friends;
+        net.update_user(alumnus, |u| u.privacy.friend_list = Audience::Friends);
         let capped = YoungAdultFriendListPolicy::new(Arc::new(FacebookPolicy::new()), 21);
         assert!(!capped.friend_list_stranger_visible(&net, alumnus));
     }

@@ -236,7 +236,7 @@ mod tests {
         let mut settings = PrivacySettings::facebook_adult_default();
         settings.education = Audience::Friends; // education hidden
         let (mut net, id) = network_with(settings, Date::ymd(1992, 5, 1));
-        net.user_mut(id).profile.networks.push(SchoolId(0));
+        net.update_user(id, |u| u.profile.networks.push(SchoolId(0)));
         assert!(FacebookPolicy::new().searchable_by_school(&net, id, SchoolId(0)));
     }
 

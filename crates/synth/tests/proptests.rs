@@ -2,7 +2,10 @@
 //! that must hold for every generated world, across random small
 //! configurations.
 
-use hsp_graph::Role;
+use hsp_graph::{
+    Date, EducationEntry, Gender, Network, PrivacySettings, ProfileContent, Registration, Role,
+    SchoolId, User, UserId,
+};
 use hsp_synth::{generate, generate_sharded, ScenarioConfig};
 use proptest::prelude::*;
 
@@ -114,6 +117,68 @@ proptest! {
     }
 }
 
+/// One live-world-style edit, from raw draws: `(kind, x, y)`.
+type Edit = (u8, u64, u64);
+
+/// Apply `edits` through the methods that keep a sealed network sealed:
+/// sign up a user (listing school 0 when `y` is odd), add a friendship,
+/// remove the `y`-th friend of a user, flip a user's privacy, or move a
+/// user's role between current student and alumnus.
+fn apply_edits(net: &mut Network, edits: &[Edit]) {
+    for &(kind, x, y) in edits {
+        let n = net.user_count() as u64;
+        let u = UserId::from_index((x % n) as usize);
+        match kind {
+            0 => {
+                let mut profile = ProfileContent::bare("New", format!("User{x}"), Gender::Female);
+                if y % 2 == 1 {
+                    profile.education.push(EducationEntry::high_school(SchoolId(0), 2013));
+                }
+                let born = Date::ymd(1990, 1, 1);
+                net.add_user(User {
+                    id: UserId(0),
+                    true_birth_date: born,
+                    registration: Registration {
+                        registered_birth_date: born,
+                        registration_date: net.today,
+                    },
+                    profile,
+                    privacy: PrivacySettings::facebook_adult_default(),
+                    role: Role::OtherResident,
+                });
+            }
+            1 => {
+                net.add_friendship(u, UserId::from_index((y % n) as usize));
+            }
+            2 => {
+                let friends = net.friends(u);
+                if !friends.is_empty() {
+                    let v = friends[(y % friends.len() as u64) as usize];
+                    net.remove_friendship(u, v);
+                }
+            }
+            3 => net.update_user(u, |user| {
+                user.privacy = if y % 2 == 0 {
+                    PrivacySettings::locked_down()
+                } else {
+                    PrivacySettings::maximum_sharing()
+                };
+            }),
+            _ => net.update_user(u, |user| {
+                user.role = match user.role {
+                    Role::CurrentStudent { school, grad_year } => {
+                        Role::Alumnus { school, grad_year }
+                    }
+                    _ => Role::CurrentStudent {
+                        school: SchoolId(0),
+                        grad_year: 2012 + (y % 4) as i32,
+                    },
+                };
+            }),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -123,12 +188,16 @@ proptest! {
     /// its round-tripped copy are the two representations of the same
     /// network: fingerprints must match, every friends list must come
     /// back in the same order, and re-sealing must change nothing
-    /// observable.
+    /// observable. The same holds after an arbitrary edit sequence, which
+    /// the sealed copy absorbs into its patches without unsealing, while
+    /// a clone taken before the edits keeps its own world.
     #[test]
-    fn builder_and_sealed_views_agree(cfg in arb_config()) {
+    fn builder_and_sealed_views_agree(
+        (cfg, edits) in (arb_config(), prop::collection::vec((0u8..5, any::<u64>(), any::<u64>()), 0..40))
+    ) {
         use serde::{Deserialize, Serialize};
 
-        let sealed = generate(&cfg).network;
+        let mut sealed = generate(&cfg).network;
         prop_assert!(sealed.is_sealed());
 
         let mut builder =
@@ -141,6 +210,40 @@ proptest! {
         // Friends ordering survives the CSR migration bit-for-bit.
         for u in sealed.user_ids() {
             prop_assert_eq!(builder.friends(u), sealed.friends(u));
+        }
+
+        // Both layouts answer alike after the same edits.
+        let before = sealed.clone();
+        let before_fingerprint = sealed.fingerprint();
+        apply_edits(&mut sealed, &edits);
+        apply_edits(&mut builder, &edits);
+        prop_assert!(sealed.is_sealed(), "edits must keep the seal");
+        prop_assert_eq!(before.fingerprint(), before_fingerprint, "a clone saw the edits");
+        prop_assert_eq!(builder.fingerprint(), sealed.fingerprint());
+        for u in sealed.user_ids() {
+            prop_assert_eq!(builder.friends(u), sealed.friends(u));
+            prop_assert_eq!(builder.student_grad_year(u), sealed.student_grad_year(u));
+        }
+        let senior = sealed.senior_class_year();
+        for school in sealed.schools().iter().map(|s| s.id) {
+            prop_assert_eq!(builder.roster(school), sealed.roster(school));
+            for year in senior - 8..=senior + 4 {
+                prop_assert_eq!(
+                    builder.roster_for_class(school, year),
+                    sealed.roster_for_class(school, year)
+                );
+                prop_assert_eq!(
+                    builder.alumni_of_class(school, year),
+                    sealed.alumni_of_class(school, year)
+                );
+            }
+        }
+        // The patched seal index equals one built from scratch.
+        let mut fresh = builder.clone();
+        fresh.seal();
+        prop_assert_eq!(sealed.sealed_columns(), fresh.sealed_columns());
+        for school in sealed.schools().iter().map(|s| s.id) {
+            prop_assert_eq!(sealed.school_listers(school), fresh.school_listers(school));
         }
 
         // Re-sealing the builder copy is observationally a no-op.

@@ -43,4 +43,7 @@ LIVE_SCENARIO=tiny cargo run --release --example live_world
 echo "==> crash-only attacker smoke (kill-point sweep, bit-identical process resume)"
 cargo run --release --example crash -- --smoke
 
+echo "==> attackbench self-test (pinned tiny outcomes, live state digest, world_at replay)"
+cargo run --release --offline --quiet --manifest-path attackbench/Cargo.toml -- --self-test
+
 echo "All checks passed."
