@@ -1,9 +1,8 @@
 //! Micro-benchmarks of the observability substrate, guarding the
 //! "recording is atomics-only" contract: counter/gauge adds, histogram
 //! records, pre-resolved route observation, and full registry
-//! snapshot/exposition. Headline per-op numbers are appended to
-//! `BENCH_obs.json` at the workspace root so regressions across PRs
-//! are visible from the artifact history.
+//! snapshot/exposition. Headline per-op numbers are printed after the
+//! `obs_hot` group.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hsp_obs::{Registry, RouteMetrics};
@@ -19,26 +18,10 @@ fn time_ns(iters: u64, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Append one run's headline numbers to `<workspace>/BENCH_obs.json`
-/// (a JSON array of run objects; created on first use).
-fn append_headline(entries: &[(&str, f64)]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    let mut runs: serde_json::Value = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_else(|| serde_json::json!([]));
-    let mut run = serde_json::Map::new();
-    run.insert("bench".to_string(), serde_json::Value::from("obs"));
+/// Print one run's headline numbers, one `name_ns` line per op.
+fn print_headline(entries: &[(&str, f64)]) {
     for (name, ns) in entries {
-        run.insert(format!("{name}_ns"), serde_json::Value::from(*ns));
-    }
-    if let Some(arr) = runs.as_array_mut() {
-        arr.push(serde_json::Value::Object(run));
-    }
-    if let Ok(body) = serde_json::to_string_pretty(&runs) {
-        if std::fs::write(path, body).is_ok() {
-            eprintln!("[bench] appended headline numbers to BENCH_obs.json");
-        }
+        println!("[bench] obs {name}_ns = {ns:.2}");
     }
 }
 
@@ -70,7 +53,7 @@ fn obs_hot_path(c: &mut Criterion) {
     group.finish();
 
     // Self-timed headline numbers (the criterion stub prints but does
-    // not expose its means), appended to the workspace artifact.
+    // not expose its means).
     const ITERS: u64 = 100_000;
     let counter_ns = time_ns(ITERS, || counter.add(black_box(1)));
     let mut v = 1u64;
@@ -85,7 +68,7 @@ fn obs_hot_path(c: &mut Criterion) {
     let render_ns = time_ns(1_000, || {
         black_box(reg.render_prometheus());
     });
-    append_headline(&[
+    print_headline(&[
         ("counter_add", counter_ns),
         ("histogram_record", hist_ns),
         ("route_observe", route_ns),

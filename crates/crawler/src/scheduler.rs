@@ -35,8 +35,8 @@
 //! take" is modeled rather than slept: each batch contributes the
 //! makespan of a greedy least-loaded assignment of its per-account
 //! queue durations onto `workers` lanes. That number is deterministic,
-//! hardware-independent, and what `BENCH_crawl.json` reports as the
-//! attack's virtual wall-clock.
+//! hardware-independent, and what `experiments worker-scaling` reports
+//! as the attack's modeled makespan.
 
 use crate::driver::{
     auth_post, html_complete, record_root_span, trace_lane, AdaptiveStrategy, CrawlError,
@@ -164,8 +164,9 @@ struct AccountWorker<E: Exchange> {
     trace_ordinal: u64,
     pacing: PacingState,
     /// Application-level auth-POST retries (signup/login resent after a
-    /// transport failure). Not journaled: the soak reconciles it
-    /// against the chaos layer's POST-redelivery watchdog in-process.
+    /// transport failure or a refusal). Not journaled: the soak
+    /// reconciles it against the chaos layer's POST-redelivery watchdog
+    /// in-process.
     auth_retries: u64,
 }
 
@@ -339,10 +340,39 @@ impl<E: Exchange> AccountWorker<E> {
     }
 
     /// POST this account's credentials to `/signup` or `/login`,
-    /// resending after transport errors (see [`auth_post`]). Every
-    /// attempt is billed as auth effort; the resends are also tallied
-    /// as intentional auth retries.
+    /// resending after transport errors (see [`auth_post`]) and, the way
+    /// [`AccountWorker::fetch`] does, after a refusal that outlived the
+    /// retry layer (a shed or fault 5xx, or a 429 that is not a
+    /// suspension): breaker accounting, wider pacing on pushback, and
+    /// another send within the job budget. Every send is billed as auth
+    /// effort; the resends are also tallied as intentional auth retries.
     fn auth(&mut self, path: &str, shared: &Shared) -> Result<Response, CrawlError> {
+        let mut sends = 0;
+        loop {
+            sends += 1;
+            let resp = self.auth_once(path, shared)?;
+            let refused = matches!(resp.status.code(), 500 | 503)
+                || (resp.status == Status::TOO_MANY_REQUESTS
+                    && !resp.headers.contains(H_ACCOUNT_SUSPENDED));
+            if !refused {
+                if sends > 1 {
+                    self.breaker_success(EP_AUTH, shared);
+                }
+                return Ok(resp);
+            }
+            if sends >= shared.budget {
+                return Ok(resp);
+            }
+            if is_shed(&resp) || resp.status == Status::TOO_MANY_REQUESTS {
+                self.widen_pacing(shared);
+            }
+            self.breaker_failure(EP_AUTH, shared);
+            self.note_auth_retries(1, shared);
+        }
+    }
+
+    /// One auth POST, with its transport-error resends.
+    fn auth_once(&mut self, path: &str, shared: &Shared) -> Result<Response, CrawlError> {
         let mut req =
             Request::post_form(path, &[("user", &self.username), ("pass", &self.password)]);
         let trace = self.next_trace_ctx(shared);
@@ -359,13 +389,17 @@ impl<E: Exchange> AccountWorker<E> {
         for _ in 0..=retries {
             self.count_request(EP_AUTH, shared);
         }
+        self.note_auth_retries(retries, shared);
+        Ok(resp)
+    }
+
+    fn note_auth_retries(&mut self, retries: u64, shared: &Shared) {
         if retries > 0 {
             self.auth_retries += retries;
             if let Some(m) = &shared.metrics {
                 m.auth_retries.add(retries);
             }
         }
-        Ok(resp)
     }
 
     /// Sign up (tolerating "already registered" — also what a signup
@@ -1084,8 +1118,8 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
     }
 
     /// Intentional application-level auth-POST retries issued so far
-    /// (signup/login resent after a transport failure — safe because
-    /// both are application-idempotent).
+    /// (signup/login resent after a transport failure or a refusal —
+    /// safe because both are application-idempotent).
     pub fn auth_retries(&self) -> u64 {
         self.accounts.iter().map(|a| a.lock().expect("account lock").auth_retries).sum()
     }
@@ -1984,6 +2018,53 @@ mod tests {
         crawler.accounts[0].lock().unwrap().exchange.failures = 1;
         crawler.profile(s.roster()[0]).expect("profile survives a reset");
         assert_eq!(crawler.effort().profile_requests, 2);
+    }
+
+    /// Refuses the first `sheds` `/signup` POSTs the way an overloaded
+    /// edge does at admission: `503` + `Retry-After`.
+    struct ShedSignups {
+        inner: DirectExchange,
+        sheds: usize,
+    }
+
+    impl Exchange for ShedSignups {
+        fn exchange(&mut self, req: Request) -> hsp_http::Result<Response> {
+            if self.sheds > 0 && req.path() == "/signup" {
+                self.sheds -= 1;
+                let shed = Response::error(Status::SERVICE_UNAVAILABLE, "shed");
+                return Ok(shed.header(hsp_http::resilient::H_RETRY_AFTER, "1"));
+            }
+            self.inner.exchange(req)
+        }
+
+        fn clear_session(&mut self) {
+            self.inner.clear_session();
+        }
+    }
+
+    /// A shed that outlasts the retry layer's 5 attempts does not abort
+    /// enrollment: the seat resends within its budget, widens its pacing
+    /// and bills the resend.
+    #[test]
+    fn shed_signup_is_resent_not_fatal() {
+        let (platform, _) = tiny_platform(FaultPlan::default());
+        let stats = Arc::new(RetryStats::default());
+        let clock = VirtualClock::shared();
+        let exchange = hsp_http::ResilientExchange::with_stats(
+            ShedSignups { inner: DirectExchange::new(platform.into_handler()), sheds: 6 },
+            hsp_http::RetryPolicy::seeded(7),
+            Arc::clone(&clock),
+            Arc::clone(&stats),
+        );
+        let crawler = ParallelCrawler::builder("spy")
+            .observability(&platform.obs)
+            .retry_stats(Arc::clone(&stats))
+            .build(vec![AccountSeat { exchange, clock: Some(clock) }])
+            .expect("a shed signup must not abort crawler setup");
+        assert_eq!(stats.sheds(), 6);
+        assert_eq!(crawler.auth_retries(), 1, "one resend of the shed signup");
+        assert_eq!(crawler.effort().auth_requests, 3, "2 signup sends + 1 login");
+        assert_eq!(crawler.politeness_widen_factor(), 2, "the shed widened the seat's pacing");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! crawler re-driving the request prefix after its last durable commit
 //! gets byte-identical responses and bills nothing twice.
 
-use crate::runner::Lab;
-use hsp_core::{evaluate, run_basic, run_enhanced, EnhanceOptions};
+use crate::runner::{attack_phases, Lab};
+use hsp_core::evaluate;
 use hsp_crawler::{
     fold_state, recover_instrumented, AccountSeat, AdaptiveStrategy, CrawlError, Effort, Journal,
     JournalMetrics, KillPlan, OsnAccess, ParallelCrawler, ResumeState, LANE_RECOVERY,
@@ -200,14 +200,8 @@ fn build(
 /// Drive the full basic + enhanced methodology and reduce to
 /// `(outcome digest, found)`.
 fn drive(lab: &Lab, access: &mut dyn OsnAccess) -> Result<(u64, usize), CrawlError> {
-    let config = lab.attack_config();
+    let (config, discovery, _, enhanced) = attack_phases(lab, access)?;
     let t = config.school_size_estimate as usize;
-    let discovery = run_basic(access, &config)?;
-    let enhanced = run_enhanced(
-        access,
-        &discovery,
-        &EnhanceOptions { t, filtering: true, enhance: true, school_city: lab.scenario.home_city },
-    )?;
     let truth = lab.ground_truth();
     let guessed: Vec<UserId> = enhanced.guessed_students(t);
     let eval = evaluate(t, &guessed, |u| enhanced.inferred_year(u, &config), &truth);

@@ -1,13 +1,11 @@
 //! Extension experiments: hidden-link inference, ablations, summaries,
-//! and the defender arms race.
+//! the tiny metro city and the crash-only attacker.
 
 use crate::ctx::Ctx;
 use crate::report::ExperimentReport;
-use crate::runner::{full_attack, full_attack_with, Lab};
+use crate::runner::{full_attack, Lab};
 use crate::tablefmt::{f1, Table};
-use hsp_core::{
-    evaluate, evaluate_links, recover_friend_lists, run_basic, run_enhanced, EnhanceOptions,
-};
+use hsp_core::{evaluate, evaluate_links, recover_friend_lists, run_enhanced, EnhanceOptions};
 use serde_json::json;
 
 /// §6.1 extension: Jaccard inference of hidden friendships between
@@ -419,214 +417,12 @@ pub fn verify_search(ctx: &mut Ctx) -> ExperimentReport {
     )
 }
 
-/// Defender arms race, in miniature: sweep the sybil detector's
-/// strength tiers against both the naive and the adaptive crawler on
-/// the TINY world and report the detection-vs-cost frontier. (The
-/// HS1-scale sweep with hard gates lives in `examples/arms_race.rs` /
-/// `scripts/arms_race.sh`, feeding `BENCH_defense.json`.)
-pub fn arms_race(ctx: &mut Ctx) -> ExperimentReport {
-    use hsp_crawler::AdaptiveStrategy;
-    use hsp_platform::{DefenseConfig, DetectorStrength};
-    // Detector state is per platform, so every cell gets a fresh lab;
-    // the shared Ctx caches don't apply here (and TCP mode wouldn't
-    // change the in-process request streams).
-    let _ = ctx;
-    const SEED: u64 = 0x9d5f_2013;
-    // Denominator floor for the detection rate: sessions that lived at
-    // least as long as the weakest tier needs to form an opinion.
-    const SESSION_FLOOR: u64 = 48;
-    let strengths = [
-        DetectorStrength::Off,
-        DetectorStrength::Low,
-        DetectorStrength::Medium,
-        DetectorStrength::High,
-    ];
-    let mut table = Table::new(&[
-        "detector",
-        "crawler",
-        "completed",
-        "detected",
-        "sessions",
-        "requests",
-        "captchas",
-        "decoys",
-        "virt-min",
-        "found",
-    ]);
-    let mut points = Vec::new();
-    for strength in strengths {
-        for (mode, adaptive) in
-            [("naive", None), ("adaptive", Some(AdaptiveStrategy::seeded(SEED)))]
-        {
-            let lab = Lab::facebook_defended(
-                &Ctx::config_for("TINY"),
-                DefenseConfig { strength, ..DefenseConfig::default() },
-            );
-            let mut access =
-                lab.crawler(2, "arms").seed(SEED).max_accounts(64).adaptive(adaptive).boxed();
-            let config = lab.attack_config();
-            let t = config.school_size_estimate as usize;
-            let outcome = run_basic(access.as_mut(), &config).and_then(|discovery| {
-                let enhanced = run_enhanced(
-                    access.as_mut(),
-                    &discovery,
-                    &EnhanceOptions {
-                        t,
-                        filtering: true,
-                        enhance: true,
-                        school_city: lab.scenario.home_city,
-                    },
-                )?;
-                let truth = lab.ground_truth();
-                Ok(evaluate(
-                    t,
-                    &enhanced.guessed_students(t),
-                    |u| enhanced.inferred_year(u, &config),
-                    &truth,
-                ))
-            });
-            let effort = access.effort();
-            let (eligible, flagged) = lab.platform.defense.frontier_counts(SESSION_FLOOR);
-            let detection_pm = (flagged * 1_000).checked_div(eligible).unwrap_or(0);
-            let virt_min = access.virtual_elapsed_ms() as f64 / 60_000.0;
-            let found = outcome.as_ref().map(|p| p.found).unwrap_or(0);
-            table.row(&[
-                strength.label().into(),
-                mode.into(),
-                if outcome.is_ok() { "yes" } else { "DIED" }.into(),
-                format!("{flagged}/{eligible}"),
-                format!("{detection_pm}‰"),
-                effort.total().to_string(),
-                effort.captcha_challenges.to_string(),
-                effort.decoy_requests.to_string(),
-                format!("{virt_min:.1}"),
-                found.to_string(),
-            ]);
-            points.push(json!({
-                "strength": strength.label(),
-                "crawler": mode,
-                "completed": outcome.is_ok(),
-                "sessions_eligible": eligible,
-                "sessions_flagged": flagged,
-                "detection_pm": detection_pm,
-                "total_requests": effort.total(),
-                "retries": effort.retry_requests,
-                "captcha_challenges": effort.captcha_challenges,
-                "captcha_virtual_ms": effort.captcha_virtual_ms,
-                "decoy_requests": effort.decoy_requests,
-                "virtual_minutes": virt_min,
-                "found": found,
-            }));
-        }
-    }
-    ExperimentReport::new(
-        "arms-race",
-        "Sybil-detector strength vs naive/adaptive crawler (TINY world frontier)",
-        table.render(),
-        json!({ "session_floor": SESSION_FLOOR, "points": points }),
-    )
-}
-
-/// Live-world freshness frontier: the same attack against a platform
-/// that mutates underneath it, swept over churn intensity (the
-/// scenario's own [`hsp_synth::ChurnModel`], scaled) and crawl pacing
-/// (slower crawls live through more churn). Every cell's trace audit
-/// must close — stale re-fetches, tombstones and mutation events all
-/// reconcile — and the zero-rate cell must be bit-identical to the
-/// frozen-world baseline (same trace digest, same effort, same result).
-pub fn freshness(ctx: &mut Ctx) -> ExperimentReport {
-    use crate::trace_audit::audit_trace;
-    use hsp_crawler::Politeness;
-    // Fresh labs per cell (mutation engines are per platform); the
-    // shared Ctx caches don't apply.
-    let _ = ctx;
-    const SEED: u64 = 0x11FE_2013;
-    let cfg = Ctx::config_for("TINY");
-    let mut table = Table::new(&[
-        "churn",
-        "pace ms",
-        "mutations",
-        "tombstoned",
-        "stale refetch",
-        "virt-min",
-        "requests",
-        "found",
-    ]);
-    let mut points = Vec::new();
-    for (pace_label, pace_ms) in [("paper", 1_500u64), ("slow", 6_000u64)] {
-        let pace = Politeness { sleep_ms_between_requests: pace_ms, ..Politeness::default() };
-        let paced = |lab: &Lab| lab.crawler(2, "fresh").seed(SEED).politeness(pace).boxed();
-        // Frozen-world baseline for this pacing: the yardstick the
-        // zero-rate live cell must reproduce byte-for-byte.
-        let (frozen_digest, frozen_effort, frozen_found) = {
-            let lab = Lab::facebook(&cfg);
-            lab.obs.enable_tracing(16_384);
-            let run = full_attack_with(&lab, paced(&lab));
-            let audit = audit_trace(&lab.obs, &run.effort_total);
-            assert!(audit.closed(), "frozen baseline audit: {:#?}", audit.unexplained);
-            let found = eval_found(&lab, &run);
-            (audit.digest, run.effort_total, found)
-        };
-        for factor in [0.0f64, 1.0, 4.0, 16.0] {
-            let lab = Lab::facebook_live(&cfg, factor);
-            lab.obs.enable_tracing(16_384);
-            let run = full_attack_with(&lab, paced(&lab));
-            let audit = audit_trace(&lab.obs, &run.effort_total);
-            assert!(
-                audit.closed(),
-                "freshness cell (x{factor}, {pace_label}) audit: {:#?}",
-                audit.unexplained
-            );
-            let found = eval_found(&lab, &run);
-            if factor == 0.0 {
-                // Zero churn ⇒ the live engine is a strict no-op.
-                assert_eq!(audit.digest, frozen_digest, "zero-rate trace digest drifted");
-                assert_eq!(run.effort_total, frozen_effort, "zero-rate effort drifted");
-                assert_eq!(found, frozen_found, "zero-rate result drifted");
-            }
-            let applied = lab.platform.mutations.applied_count() as u64;
-            let virt_min = run.access.virtual_elapsed_ms() as f64 / 60_000.0;
-            let effort = &run.effort_total;
-            table.row(&[
-                format!("x{factor:.0}"),
-                pace_ms.to_string(),
-                applied.to_string(),
-                effort.tombstones.to_string(),
-                effort.stale_refetch_requests.to_string(),
-                format!("{virt_min:.1}"),
-                effort.total().to_string(),
-                found.to_string(),
-            ]);
-            points.push(json!({
-                "churn_factor": factor,
-                "pace_ms": pace_ms,
-                "pace": pace_label,
-                "mutations_applied": applied,
-                "state_digest": format!("{:016x}", lab.platform.mutations.state_digest()),
-                "trace_digest": audit.digest,
-                "tombstones": effort.tombstones,
-                "stale_refetches": effort.stale_refetch_requests,
-                "virtual_minutes": virt_min,
-                "total_requests": effort.total(),
-                "found": found,
-                "audit_closed": audit.closed(),
-            }));
-        }
-    }
-    ExperimentReport::new(
-        "freshness",
-        "Live-world freshness: attack accuracy vs churn rate vs crawl pacing (TINY world)",
-        table.render(),
-        json!({ "points": points }),
-    )
-}
-
 /// Metro-scale city-wide attack: every school in a shared-city world
 /// crawled concurrently through its own [`ParallelCrawler`] accounts,
 /// with per-school Table-2/4 analogues and the aggregate exposure. The
-/// experiment registry runs the TINY metro config; the ≥1M-user gated
-/// run lives in `examples/metro.rs` / `scripts/metro.sh`, feeding
-/// `BENCH_metro.json`.
+/// experiment registry runs the TINY metro config; the full 1.15M-user
+/// city is attackbench's `metro_city` workload, which pins its 40
+/// school digests and measures its build and attack.
 ///
 /// [`ParallelCrawler`]: hsp_crawler::ParallelCrawler
 pub fn metro(ctx: &mut Ctx) -> ExperimentReport {
@@ -706,19 +502,6 @@ pub fn metro(ctx: &mut Ctx) -> ExperimentReport {
             "per_school": points,
         }),
     )
-}
-
-/// Score one completed run at `t = school size` (students found).
-fn eval_found(lab: &Lab, run: &crate::runner::AttackRun) -> u64 {
-    let truth = lab.ground_truth();
-    let t = run.config.school_size_estimate as usize;
-    let point = evaluate(
-        t,
-        &run.enhanced.guessed_students(t),
-        |u| run.enhanced.inferred_year(u, &run.config),
-        &truth,
-    );
-    point.found as u64
 }
 
 /// World summaries (sanity panel for the calibration targets).

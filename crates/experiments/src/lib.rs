@@ -1,16 +1,17 @@
 //! # hsp-experiments — regenerating every table and figure
 //!
 //! One runner per table/figure of the paper (see DESIGN.md §3 for the
-//! index), plus extension experiments (Jaccard hidden-link inference)
-//! and ablations (lying rate, ε, filter rules, account count). The
-//! `experiments` binary drives them; `hsp-bench` reuses the same
-//! runners under Criterion.
+//! index), plus extension experiments (Jaccard hidden-link inference),
+//! ablations (lying rate, ε, filter rules, account count) and the gated
+//! HS1 sweeps (arms race, freshness, chaos, worker scaling, trace
+//! forensics). The `experiments` binary drives them.
 
 pub mod asciiplot;
 pub mod crash_lab;
 pub mod ctx;
 pub mod exp_extra;
 pub mod exp_figures;
+pub mod exp_sweeps;
 pub mod exp_tables;
 pub mod exp_threats;
 pub mod metro_lab;
@@ -50,6 +51,9 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "ablation-accounts",
     "arms-race",
     "freshness",
+    "chaos-sweep",
+    "worker-scaling",
+    "trace-forensics",
     "metro",
     "crash-recovery",
 ];
@@ -82,8 +86,11 @@ pub fn run_experiment(ctx: &mut Ctx, id: &str) -> Option<ExperimentReport> {
         "ablation-epsilon" => exp_extra::ablation_epsilon(ctx),
         "ablation-filters" => exp_extra::ablation_filters(ctx),
         "ablation-accounts" => exp_extra::ablation_accounts(ctx),
-        "arms-race" => exp_extra::arms_race(ctx),
-        "freshness" => exp_extra::freshness(ctx),
+        "arms-race" => exp_sweeps::arms_race(ctx),
+        "freshness" => exp_sweeps::freshness(ctx),
+        "chaos-sweep" => exp_sweeps::chaos_sweep(ctx),
+        "worker-scaling" => exp_sweeps::worker_scaling(ctx),
+        "trace-forensics" => exp_sweeps::trace_forensics(ctx),
         "metro" => exp_extra::metro(ctx),
         "crash-recovery" => exp_extra::crash_recovery(ctx),
         _ => return None,

@@ -9,7 +9,9 @@ use hsp_core::{
     evaluate, run_basic, run_enhanced, AttackConfig, Discovery, EnhanceOptions, Enhanced,
     EvalPoint, GroundTruth,
 };
-use hsp_crawler::{AccountSeat, AdaptiveStrategy, OsnAccess, ParallelCrawler, Politeness};
+use hsp_crawler::{
+    AccountSeat, AdaptiveStrategy, CrawlError, Effort, OsnAccess, ParallelCrawler, Politeness,
+};
 use hsp_http::{
     ChaosPlan, ChaosStats, ChaosTransport, Client, DirectExchange, Exchange, Handler,
     ResilientExchange, RetryPolicy, RetryStats, Server, ServerConfig,
@@ -410,8 +412,8 @@ pub struct AttackRun {
     pub config: AttackConfig,
     pub discovery: Discovery,
     pub enhanced: Enhanced,
-    pub effort_basic: hsp_crawler::Effort,
-    pub effort_total: hsp_crawler::Effort,
+    pub effort_basic: Effort,
+    pub effort_total: Effort,
     pub access: Box<dyn OsnAccess>,
 }
 
@@ -426,17 +428,39 @@ pub fn full_attack(lab: &mut Lab, tcp: bool) -> AttackRun {
 /// [`full_attack`] over a caller-supplied access layer (e.g. a seeded
 /// [`Lab::crawler`] for chaos runs).
 pub fn full_attack_with(lab: &Lab, mut access: Box<dyn OsnAccess>) -> AttackRun {
+    let (config, discovery, effort_basic, enhanced) =
+        attack_phases(lab, access.as_mut()).expect("attack methodology");
+    let effort_total = access.effort();
+    AttackRun { config, discovery, enhanced, effort_basic, effort_total, access }
+}
+
+/// The paper's attack scored as Table 4 scores it (`t` = school size),
+/// with a crawl error returned instead of panicking: in a sweep, a
+/// crawl that dies to faults or to the detector is itself a data point.
+pub fn try_attack(lab: &Lab, access: &mut dyn OsnAccess) -> Result<EvalPoint, CrawlError> {
+    let (config, _, _, enhanced) = attack_phases(lab, access)?;
+    let t = config.school_size_estimate as usize;
+    let truth = lab.ground_truth();
+    Ok(evaluate(t, &enhanced.guessed_students(t), |u| enhanced.inferred_year(u, &config), &truth))
+}
+
+/// Basic then enhanced(+filtering), each phase timed on the lab's
+/// registry; also returns the effort spent by the end of basic.
+pub(crate) fn attack_phases(
+    lab: &Lab,
+    access: &mut dyn OsnAccess,
+) -> Result<(AttackConfig, Discovery, Effort, Enhanced), CrawlError> {
     let config = lab.attack_config();
     let discovery = {
         let _span = phase_span(&lab.obs, "crawl");
-        run_basic(access.as_mut(), &config).expect("basic methodology")
+        run_basic(access, &config)?
     };
     let effort_basic = access.effort();
     let t = config.school_size_estimate as usize;
     let enhanced = {
         let _span = phase_span(&lab.obs, "infer");
         run_enhanced(
-            access.as_mut(),
+            access,
             &discovery,
             &EnhanceOptions {
                 t,
@@ -444,11 +468,9 @@ pub fn full_attack_with(lab: &Lab, mut access: Box<dyn OsnAccess>) -> AttackRun 
                 enhance: true,
                 school_city: lab.scenario.home_city,
             },
-        )
-        .expect("enhanced methodology")
+        )?
     };
-    let effort_total = access.effort();
-    AttackRun { config, discovery, enhanced, effort_basic, effort_total, access }
+    Ok((config, discovery, effort_basic, enhanced))
 }
 
 /// Evaluate a guessed set for one threshold.

@@ -447,6 +447,23 @@ mod tests {
         assert_eq!(audit.tombstones_ledgered, run.effort_total.tombstones);
     }
 
+    /// Recording is a pure observer: under chaos at 4 workers, the
+    /// traced attack pays exactly what the untraced one pays.
+    #[test]
+    fn tracing_never_changes_the_attack() {
+        let attack = |traced: bool| {
+            let lab = Lab::facebook_chaotic(&ScenarioConfig::tiny(), FaultPlan::chaos());
+            if traced {
+                lab.obs.enable_tracing(16384);
+            }
+            let run = full_attack_with(&lab, lab.crawler(4, "observer").workers(4).seed(7).boxed());
+            assert_eq!(lab.obs.tracer().is_empty(), !traced);
+            let checkpoint = run.access.checkpoint().to_json().expect("checkpoint json");
+            (run.effort_total, checkpoint, run.access.virtual_elapsed_ms())
+        };
+        assert_eq!(attack(true), attack(false));
+    }
+
     /// A cooked ledger is caught: inflate the effort's retry count and
     /// the audit must refuse to close.
     #[test]

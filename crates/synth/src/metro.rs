@@ -458,6 +458,13 @@ mod tests {
         assert!(net.friend_graph().edge_count() > cfg.total_users());
     }
 
+    /// The full city is metro scale without building it.
+    #[test]
+    fn city_has_at_least_a_million_users() {
+        let users = MetroConfig::city().total_users();
+        assert!(users >= 1_000_000, "the city must have >=1M users, got {users}");
+    }
+
     #[test]
     fn fingerprint_is_thread_invariant() {
         let cfg = MetroConfig {

@@ -2,7 +2,7 @@
 //! loopback HTTP server — every page the attacker sees travels through
 //! the from-scratch HTTP/1.1 stack (`hsp-http`), exactly as the paper's
 //! crawler fetched real web pages. (For the attack against a world that
-//! mutates *during* the crawl, see `examples/live_world.rs`.)
+//! mutates *during* the crawl, run `experiments freshness`.)
 //!
 //! ```sh
 //! cargo run --release --example tcp_crawl
