@@ -1,6 +1,6 @@
-//! Micro-benchmarks of the hot substrate paths: HTTP codec, HTML
-//! parsing, reverse-lookup scoring, Jaccard, calendar arithmetic, and
-//! world generation.
+//! Micro-benchmarks of the hot substrate paths: HTTP codec, page
+//! render and scrape, reverse-lookup scoring, Jaccard, calendar
+//! arithmetic, and world generation.
 
 use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -68,7 +68,26 @@ fn html_scrape(c: &mut Criterion) {
         b.iter(|| black_box(hsp_crawler::parse_profile(&html)))
     });
     group.bench_function("render_parse_roundtrip", |b| {
-        b.iter(|| black_box(hsp_markup::parse(&html)))
+        b.iter(|| {
+            let page = hsp_platform::render::profile_page(&net, &view);
+            black_box(hsp_crawler::parse_profile(&page))
+        })
+    });
+    group.finish();
+
+    // A full friend-list page: 20 entries and a next-page link.
+    let entries: Vec<(UserId, String)> =
+        (0..20).map(|i| (UserId(1_000 + i), format!("Friend Number{i}"))).collect();
+    let listing = hsp_platform::render::listing_page_stamped(
+        "friends",
+        &entries,
+        Some("/friends/u5?page=1".into()),
+        3,
+    );
+    let mut group = c.benchmark_group("micro_html_listing");
+    group.throughput(Throughput::Bytes(listing.len() as u64));
+    group.bench_function("parse_listing_stamped_20", |b| {
+        b.iter(|| black_box(hsp_crawler::scrape::parse_listing_stamped(&listing)))
     });
     group.finish();
 }

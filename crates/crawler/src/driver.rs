@@ -414,5 +414,5 @@ pub(crate) fn auth_post<E: Exchange>(
 /// through — the crawler's defense against silent truncation.
 pub(crate) fn html_complete(resp: &Response) -> bool {
     let is_html = resp.headers.get("content-type").is_some_and(|ct| ct.contains("text/html"));
-    !is_html || resp.body_string().trim_end().ends_with("</html>")
+    !is_html || String::from_utf8_lossy(&resp.body).trim_end().ends_with("</html>")
 }

@@ -581,7 +581,7 @@ impl<E: Exchange> AccountWorker<E> {
             if resp.status == Status::FORBIDDEN {
                 return JobOutcome::Fatal(CrawlError::Denied(resp.status));
             }
-            let (ids, next) = parse_listing(&resp.body_string());
+            let (ids, next) = parse_listing(&String::from_utf8_lossy(&resp.body));
             out.extend(ids);
             match next {
                 Some(n) => url = n,
@@ -599,7 +599,7 @@ impl<E: Exchange> AccountWorker<E> {
         if resp.status == Status::FORBIDDEN {
             return JobOutcome::Fatal(CrawlError::Denied(resp.status));
         }
-        let profile = parse_profile(&resp.body_string());
+        let profile = parse_profile(&String::from_utf8_lossy(&resp.body));
         if profile.uid != Some(uid) {
             return JobOutcome::Fatal(CrawlError::BadPage("profile uid mismatch"));
         }
@@ -643,7 +643,7 @@ impl<E: Exchange> AccountWorker<E> {
                 if resp.status == Status::FORBIDDEN {
                     return JobOutcome::Done(JobOut::Friends(None, false, None));
                 }
-                let (ids, next, gen) = parse_listing_stamped(&resp.body_string());
+                let (ids, next, gen) = parse_listing_stamped(&String::from_utf8_lossy(&resp.body));
                 if first_page {
                     first_page = false;
                     list_gen = gen;
@@ -675,7 +675,7 @@ impl<E: Exchange> AccountWorker<E> {
             if resp.status == Status::FORBIDDEN {
                 return JobOutcome::Done(JobOut::Circles(None));
             }
-            let (ids, next) = parse_listing(&resp.body_string());
+            let (ids, next) = parse_listing(&String::from_utf8_lossy(&resp.body));
             out.extend(ids);
             match next {
                 Some(n) => url = n,

@@ -4,10 +4,21 @@
 //! relevant data from the HTML source code"). Parsing is defensive: a
 //! page that lacks a field simply yields `None` — the attacker can only
 //! work with what is rendered.
+//!
+//! Each scraper reads its page in one forward scan and builds no tree.
+//! The lexer cuts the page into tags and text exactly where
+//! `hsp_markup::parser` does, so the scan meets the elements the DOM
+//! parser would build, in document order; [`parse_profile`] keeps a
+//! stack of open elements, with the parser's close-tag recovery, to
+//! know which element sits inside which. The DOM scrapers this
+//! replaces are kept under `tests/oracle/` as the reference a
+//! differential test holds both scrapers to.
 
 use hsp_graph::{CityId, Date, SchoolId, UserId};
-use hsp_markup::{parse, select, select_first, Element};
+use hsp_markup::dom::VOID_ELEMENTS;
+use hsp_markup::unescape;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Education entry as scraped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -96,64 +107,177 @@ impl ScrapedProfile {
 }
 
 /// Parse a profile page.
+///
+/// The root is the first element whose `id` is `profile`; every field
+/// but the three stamps on the root itself is read from the root's
+/// descendants, so the scan ends when the root closes.
 pub fn parse_profile(html: &str) -> ScrapedProfile {
-    let dom = parse(html);
     let mut p = ScrapedProfile::default();
-    let Some(root) = select_first(&dom, "#profile") else {
-        return p;
+    let mut lexer = Lexer::new(html);
+    let root_open = loop {
+        match lexer.next_token() {
+            None => return p,
+            Some(Token::Start { tag, childless })
+                if lexer.attrs.get(Attr::Id).as_deref() == Some("profile") =>
+            {
+                let attrs = &lexer.attrs;
+                p.uid = attrs.get(Attr::DataUid).as_deref().and_then(UserId::parse);
+                p.generation = attrs.get(Attr::DataGen).and_then(|g| g.parse().ok());
+                p.tombstoned = attrs.get(Attr::DataTombstone).as_deref() == Some("1");
+                break takes_children(tag, childless);
+            }
+            Some(_) => {}
+        }
     };
-    p.uid = root.get_attr("data-uid").and_then(UserId::parse);
-    p.generation = root.get_attr("data-gen").and_then(|g| g.parse().ok());
-    p.tombstoned = root.get_attr("data-tombstone") == Some("1");
-    if let Some(h1) = select_first(root, "h1.name") {
-        p.name = h1.text_content();
+    if !root_open {
+        return p;
     }
-    p.has_photo = select_first(root, "img.profile-photo").is_some();
-    p.gender = select_first(root, "span.gender").map(Element::text_content);
-    for li in select(root, "ul.networks li.network") {
-        if let Some(s) = li.get_attr("data-school").and_then(SchoolId::parse) {
-            p.networks.push(s);
+    // The root's open descendants, innermost last, each with the scope
+    // bits it and its open ancestors below the root pass down.
+    let mut stack: Vec<(&str, u8)> = Vec::with_capacity(8);
+    let mut seen = 0u8;
+    while let Some(token) = lexer.next_token() {
+        let scope = stack.last().map_or(0, |&(_, s)| s);
+        match token {
+            Token::Start { tag, childless } => {
+                let own = read_descendant(&mut p, &mut seen, tag, &lexer.attrs, scope);
+                if takes_children(tag, childless) {
+                    stack.push((tag, scope | own));
+                }
+            }
+            // The parser's recovery: a close tag closes the nearest open
+            // element of its name and everything opened inside it. One
+            // that names no open descendant closes the root.
+            Token::End(tag) => {
+                let Some(i) = stack.iter().rposition(|(t, _)| t.eq_ignore_ascii_case(tag)) else {
+                    break;
+                };
+                stack.truncate(i);
+            }
+            Token::Text(raw) if scope & (IN_NAME | IN_GENDER) != 0 => {
+                // The DOM keeps a text run only if it is not blank.
+                let text = decode(raw);
+                if text.trim().is_empty() {
+                    continue;
+                }
+                if scope & IN_NAME != 0 {
+                    p.name.push_str(&text);
+                }
+                if scope & IN_GENDER != 0 {
+                    p.gender.get_or_insert_default().push_str(&text);
+                }
+            }
+            Token::Text(_) => {}
         }
     }
-    for li in select(root, "ul.education li.edu") {
-        let Some(school) = li.get_attr("data-school").and_then(SchoolId::parse) else {
-            continue;
-        };
-        let kind = match li.get_attr("data-kind") {
-            Some("highschool") => ScrapedEduKind::HighSchool,
-            Some("college") => ScrapedEduKind::College,
-            Some("gradschool") => ScrapedEduKind::GraduateSchool,
-            _ => continue,
-        };
-        let grad_year = li.get_attr("data-year").and_then(|y| y.parse().ok());
-        p.education.push(ScrapedEducation { school, kind, grad_year });
-    }
-    p.current_city = select_first(root, "span.current-city")
-        .and_then(|e| e.get_attr("data-city"))
-        .and_then(CityId::parse);
-    p.hometown = select_first(root, "span.hometown")
-        .and_then(|e| e.get_attr("data-city"))
-        .and_then(CityId::parse);
-    p.relationship = select_first(root, "span.relationship").is_some();
-    p.interested_in = select_first(root, "span.interested-in").is_some();
-    p.birthday = select_first(root, "span.birthday")
-        .and_then(|e| e.get_attr("data-date"))
-        .and_then(parse_date);
-    p.photos_shared = select_first(root, "span.photos-count")
-        .and_then(|e| e.get_attr("data-count"))
-        .and_then(|c| c.parse().ok());
-    p.wall_posts = select_first(root, "span.wall-count")
-        .and_then(|e| e.get_attr("data-count"))
-        .and_then(|c| c.parse().ok());
-    for li in select(root, "ul.wall li.wall-post") {
-        if let Some(author) = li.get_attr("data-author").and_then(UserId::parse) {
-            p.wall_posters.push(author);
-        }
-    }
-    p.has_contact_info = select_first(root, "div.contact").is_some();
-    p.friend_list_visible = select_first(root, "a.friends-link").is_some();
-    p.message_button = select_first(root, "a.message-button").is_some();
     p
+}
+
+// Scope bits: the descendant is inside `ul.networks`, `ul.education` or
+// `ul.wall`, or inside the first `h1.name` or `span.gender`.
+const IN_NETWORKS: u8 = 1;
+const IN_EDUCATION: u8 = 1 << 1;
+const IN_WALL: u8 = 1 << 2;
+const IN_NAME: u8 = 1 << 3;
+const IN_GENDER: u8 = 1 << 4;
+
+// Fields read from the first matching descendant only.
+const FIRST_NAME: u8 = 1;
+const FIRST_GENDER: u8 = 1 << 1;
+const FIRST_CITY: u8 = 1 << 2;
+const FIRST_HOMETOWN: u8 = 1 << 3;
+const FIRST_BIRTHDAY: u8 = 1 << 4;
+const FIRST_PHOTOS: u8 = 1 << 5;
+const FIRST_WALL_COUNT: u8 = 1 << 6;
+
+/// Fold one start tag below the profile root into `p`. `scope` holds the
+/// bits of its open ancestors below the root; returns the bits the
+/// element adds for its own descendants.
+fn read_descendant(
+    p: &mut ScrapedProfile,
+    seen: &mut u8,
+    tag: &str,
+    attrs: &Attrs<'_>,
+    scope: u8,
+) -> u8 {
+    let class = attrs.get(Attr::Class);
+    let has = |name: &str| {
+        class.as_deref().is_some_and(|c| c.split_ascii_whitespace().any(|part| part == name))
+    };
+    let mut first = |bit: u8, name: &str| {
+        let hit = *seen & bit == 0 && has(name);
+        if hit {
+            *seen |= bit;
+        }
+        hit
+    };
+    let mut own = 0;
+    if tag.eq_ignore_ascii_case("h1") {
+        if first(FIRST_NAME, "name") {
+            own |= IN_NAME;
+        }
+    } else if tag.eq_ignore_ascii_case("img") {
+        p.has_photo |= has("profile-photo");
+    } else if tag.eq_ignore_ascii_case("span") {
+        if first(FIRST_GENDER, "gender") {
+            p.gender = Some(String::new());
+            own |= IN_GENDER;
+        }
+        if first(FIRST_CITY, "current-city") {
+            p.current_city = attrs.get(Attr::DataCity).as_deref().and_then(CityId::parse);
+        }
+        if first(FIRST_HOMETOWN, "hometown") {
+            p.hometown = attrs.get(Attr::DataCity).as_deref().and_then(CityId::parse);
+        }
+        p.relationship |= has("relationship");
+        p.interested_in |= has("interested-in");
+        if first(FIRST_BIRTHDAY, "birthday") {
+            p.birthday = attrs.get(Attr::DataDate).as_deref().and_then(parse_date);
+        }
+        if first(FIRST_PHOTOS, "photos-count") {
+            p.photos_shared = attrs.get(Attr::DataCount).and_then(|c| c.parse().ok());
+        }
+        if first(FIRST_WALL_COUNT, "wall-count") {
+            p.wall_posts = attrs.get(Attr::DataCount).and_then(|c| c.parse().ok());
+        }
+    } else if tag.eq_ignore_ascii_case("ul") {
+        for (name, bit) in
+            [("networks", IN_NETWORKS), ("education", IN_EDUCATION), ("wall", IN_WALL)]
+        {
+            if has(name) {
+                own |= bit;
+            }
+        }
+    } else if tag.eq_ignore_ascii_case("li") {
+        if scope & IN_NETWORKS != 0 && has("network") {
+            p.networks.extend(attrs.get(Attr::DataSchool).as_deref().and_then(SchoolId::parse));
+        }
+        if scope & IN_EDUCATION != 0 && has("edu") {
+            p.education.extend(education(attrs));
+        }
+        if scope & IN_WALL != 0 && has("wall-post") {
+            p.wall_posters.extend(attrs.get(Attr::DataAuthor).as_deref().and_then(UserId::parse));
+        }
+    } else if tag.eq_ignore_ascii_case("div") {
+        p.has_contact_info |= has("contact");
+    } else if tag.eq_ignore_ascii_case("a") {
+        p.friend_list_visible |= has("friends-link");
+        p.message_button |= has("message-button");
+    }
+    own
+}
+
+/// An `li.edu` entry; `None` without a school id or a known kind.
+fn education(attrs: &Attrs<'_>) -> Option<ScrapedEducation> {
+    let school = attrs.get(Attr::DataSchool).as_deref().and_then(SchoolId::parse)?;
+    let kind = match attrs.get(Attr::DataKind).as_deref() {
+        Some("highschool") => ScrapedEduKind::HighSchool,
+        Some("college") => ScrapedEduKind::College,
+        Some("gradschool") => ScrapedEduKind::GraduateSchool,
+        _ => return None,
+    };
+    let grad_year = attrs.get(Attr::DataYear).and_then(|y| y.parse().ok());
+    Some(ScrapedEducation { school, kind, grad_year })
 }
 
 /// Parse a listing page (search results or a friend-list page): the
@@ -167,19 +291,34 @@ pub fn parse_listing(html: &str) -> (Vec<UserId>, Option<String>) {
 /// staleness stamp on the list root (`None` on a frozen platform). The
 /// crawler compares stamps across a pagination run — and against the
 /// owner's profile stamp — to detect a list that mutated mid-read.
+///
+/// Ids come from every `a.profile-link`, the next page from the first
+/// element with `id="next-page"`, the stamp from the first `ul`.
 pub fn parse_listing_stamped(html: &str) -> (Vec<UserId>, Option<String>, Option<u64>) {
-    let dom = parse(html);
-    let ids = select(&dom, "a.profile-link")
-        .into_iter()
-        .filter_map(|a| {
-            a.get_attr("href").and_then(|h| h.strip_prefix("/profile/")).and_then(UserId::parse)
-        })
-        .collect();
-    let next =
-        select_first(&dom, "#next-page").and_then(|a| a.get_attr("href")).map(str::to_string);
-    let gen = select_first(&dom, "ul")
-        .and_then(|ul| ul.get_attr("data-gen"))
-        .and_then(|g| g.parse().ok());
+    let mut ids = Vec::new();
+    let (mut next, mut gen) = (None, None);
+    let (mut seen_next, mut seen_ul) = (false, false);
+    let mut lexer = Lexer::new(html);
+    while let Some(token) = lexer.next_token() {
+        let Token::Start { tag, .. } = token else {
+            continue;
+        };
+        let attrs = &lexer.attrs;
+        if tag.eq_ignore_ascii_case("a") && attrs.has_class("profile-link") {
+            let href = attrs.get(Attr::Href);
+            ids.extend(
+                href.as_deref().and_then(|h| h.strip_prefix("/profile/")).and_then(UserId::parse),
+            );
+        }
+        if !seen_next && attrs.get(Attr::Id).as_deref() == Some("next-page") {
+            seen_next = true;
+            next = attrs.get(Attr::Href).map(Cow::into_owned);
+        }
+        if !seen_ul && tag.eq_ignore_ascii_case("ul") {
+            seen_ul = true;
+            gen = attrs.get(Attr::DataGen).and_then(|g| g.parse().ok());
+        }
+    }
     (ids, next, gen)
 }
 
@@ -189,6 +328,248 @@ fn parse_date(s: &str) -> Option<Date> {
     let m = parts.next()?.parse().ok()?;
     let d = parts.next()?.parse().ok()?;
     Date::new(y, m, d).ok()
+}
+
+/// The attributes the scrapers read. Every other attribute is lexed and
+/// dropped. `DataAuthor` stays last: it sizes [`Attrs`].
+#[derive(Clone, Copy)]
+enum Attr {
+    Id,
+    Class,
+    Href,
+    DataUid,
+    DataGen,
+    DataTombstone,
+    DataSchool,
+    DataKind,
+    DataYear,
+    DataCity,
+    DataDate,
+    DataCount,
+    DataAuthor,
+}
+
+impl Attr {
+    /// The attribute a lowercase name denotes, if the scrapers read it.
+    fn named(lower: &[u8]) -> Option<Attr> {
+        Some(match lower {
+            b"id" => Attr::Id,
+            b"class" => Attr::Class,
+            b"href" => Attr::Href,
+            b"data-uid" => Attr::DataUid,
+            b"data-gen" => Attr::DataGen,
+            b"data-tombstone" => Attr::DataTombstone,
+            b"data-school" => Attr::DataSchool,
+            b"data-kind" => Attr::DataKind,
+            b"data-year" => Attr::DataYear,
+            b"data-city" => Attr::DataCity,
+            b"data-date" => Attr::DataDate,
+            b"data-count" => Attr::DataCount,
+            b"data-author" => Attr::DataAuthor,
+            _ => return None,
+        })
+    }
+}
+
+/// The longest name [`Attr::named`] knows.
+const MAX_ATTR_NAME: usize = "data-tombstone".len();
+
+/// A start tag's [`Attr`] values, borrowed from the page and still
+/// entity-encoded.
+#[derive(Default)]
+struct Attrs<'a>([Option<&'a str>; Attr::DataAuthor as usize + 1]);
+
+impl<'a> Attrs<'a> {
+    /// Record one attribute as the DOM parser's `set_attr` does: names
+    /// compare ASCII-case-insensitively and the last duplicate wins.
+    fn set(&mut self, name: &str, raw: &'a str) {
+        let attr = Attr::named(name.as_bytes()).or_else(|| {
+            let mut buf = [0u8; MAX_ATTR_NAME];
+            let lower = buf.get_mut(..name.len())?;
+            lower.copy_from_slice(name.as_bytes());
+            lower.make_ascii_lowercase();
+            Attr::named(lower)
+        });
+        if let Some(attr) = attr {
+            self.0[attr as usize] = Some(raw);
+        }
+    }
+
+    /// The decoded value, if the tag has the attribute.
+    fn get(&self, attr: Attr) -> Option<Cow<'a, str>> {
+        self.0[attr as usize].map(decode)
+    }
+
+    fn has_class(&self, name: &str) -> bool {
+        self.get(Attr::Class).is_some_and(|c| c.split_ascii_whitespace().any(|part| part == name))
+    }
+}
+
+/// Decode entities, copying only a value that holds one.
+fn decode(raw: &str) -> Cow<'_, str> {
+    if raw.as_bytes().contains(&b'&') {
+        Cow::Owned(unescape(raw))
+    } else {
+        Cow::Borrowed(raw)
+    }
+}
+
+/// One token of a page, delimited exactly as `hsp_markup::parser`
+/// delimits it. Comments and `<!…>` declarations yield nothing.
+enum Token<'a> {
+    /// A start tag; its attributes are in [`Lexer::attrs`] until the next
+    /// one. `childless` marks a `/>` tag or one the page ends inside.
+    Start { tag: &'a str, childless: bool },
+    /// A well-formed close tag, `</tag …>`.
+    End(&'a str),
+    /// A text run, still entity-encoded.
+    Text(&'a str),
+}
+
+/// Whether the DOM parser would give an element children: not when its
+/// tag is `childless` or names a void element.
+fn takes_children(tag: &str, childless: bool) -> bool {
+    !childless && !VOID_ELEMENTS.iter().any(|v| v.eq_ignore_ascii_case(tag))
+}
+
+/// The scrapers' tokenizer. It walks bytes: every delimiter is ASCII,
+/// and no byte of a multi-byte UTF-8 character is, so each slice it
+/// cuts falls on a character boundary.
+struct Lexer<'a> {
+    src: &'a str,
+    pos: usize,
+    /// The attributes of the latest start tag.
+    attrs: Attrs<'a>,
+}
+
+impl<'a> Lexer<'a> {
+    fn new(src: &'a str) -> Self {
+        Lexer { src, pos: 0, attrs: Attrs::default() }
+    }
+
+    /// The next token, or `None` at the end of the page.
+    fn next_token(&mut self) -> Option<Token<'a>> {
+        loop {
+            match &self.src.as_bytes()[self.pos..] {
+                [] => return None,
+                [b'<', b'/', ..] => {
+                    self.pos += 2;
+                    let tag = self.take_name();
+                    if !tag.is_empty() {
+                        self.skip_past(b'>');
+                        return Some(Token::End(tag));
+                    }
+                    // Not a close tag after all: the `</` is dropped.
+                }
+                [b'<', b'!', b'-', b'-', ..] => {
+                    let body = self.pos + 4;
+                    self.pos =
+                        self.src[body..].find("-->").map_or(self.src.len(), |i| body + i + 3);
+                }
+                [b'<', b'!', ..] => self.skip_past(b'>'),
+                [b'<', b, ..] if b.is_ascii_alphabetic() => return Some(self.start_tag()),
+                _ => return Some(self.text()),
+            }
+        }
+    }
+
+    /// Consume the longest run of bytes that satisfy `keep`.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        let rest = &self.src.as_bytes()[start..];
+        self.pos += rest.iter().position(|&b| !keep(b)).unwrap_or(rest.len());
+        &self.src[start..self.pos]
+    }
+
+    fn take_name(&mut self) -> &'a str {
+        self.take_while(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b':'))
+    }
+
+    fn skip_whitespace(&mut self) {
+        self.take_while(|b| b.is_ascii_whitespace());
+    }
+
+    /// Consume through the next `stop`, or to the end.
+    fn skip_past(&mut self, stop: u8) {
+        let rest = &self.src.as_bytes()[self.pos..];
+        self.pos += rest.iter().position(|&b| b == stop).map_or(rest.len(), |i| i + 1);
+    }
+
+    /// A start tag; `pos` is on its `<`.
+    fn start_tag(&mut self) -> Token<'a> {
+        self.pos += 1;
+        let tag = self.take_name();
+        self.attrs = Attrs::default();
+        loop {
+            self.skip_whitespace();
+            let rest = &self.src.as_bytes()[self.pos..];
+            if rest.is_empty() {
+                return Token::Start { tag, childless: true };
+            }
+            if rest.starts_with(b"/>") {
+                self.pos += 2;
+                return Token::Start { tag, childless: true };
+            }
+            if rest[0] == b'>' {
+                self.pos += 1;
+                break;
+            }
+            let name =
+                self.take_while(|b| !b.is_ascii_whitespace() && !matches!(b, b'=' | b'>' | b'/'));
+            if name.is_empty() {
+                // A stray `=` or `/`.
+                self.pos += 1;
+                continue;
+            }
+            self.skip_whitespace();
+            let mut raw = "";
+            if self.src.as_bytes().get(self.pos) == Some(&b'=') {
+                self.pos += 1;
+                self.skip_whitespace();
+                raw = self.attr_value();
+            }
+            self.attrs.set(name, raw);
+        }
+        Token::Start { tag, childless: false }
+    }
+
+    /// A quoted value (an unclosed quote runs to the end) or an unquoted
+    /// one (up to whitespace or `>`).
+    fn attr_value(&mut self) -> &'a str {
+        match self.src.as_bytes().get(self.pos) {
+            Some(&quote @ (b'"' | b'\'')) => {
+                self.pos += 1;
+                let raw = self.take_while(|b| b != quote);
+                if self.pos < self.src.len() {
+                    self.pos += 1;
+                }
+                raw
+            }
+            _ => self.take_while(|b| !b.is_ascii_whitespace() && b != b'>'),
+        }
+    }
+
+    /// A text run; `pos` is on its first byte, which is text even when it
+    /// is a `<`. It ends before the next `<` that opens a tag, a close
+    /// tag, a comment or a declaration.
+    fn text(&mut self) -> Token<'a> {
+        let bytes = self.src.as_bytes();
+        let start = self.pos;
+        let mut end = start + 1;
+        while let Some(i) = bytes[end..].iter().position(|&b| b == b'<') {
+            end += i;
+            if bytes
+                .get(end + 1)
+                .is_some_and(|&b| b.is_ascii_alphabetic() || b == b'/' || b == b'!')
+            {
+                self.pos = end;
+                return Token::Text(&self.src[start..end]);
+            }
+            end += 1;
+        }
+        self.pos = bytes.len();
+        Token::Text(&self.src[start..])
+    }
 }
 
 #[cfg(test)]
@@ -345,5 +726,116 @@ mod tests {
         assert_eq!(p.photos_shared, Some(33));
         assert!(p.friend_list_visible);
         assert!(!p.message_button);
+
+        // A view that sets every field, with a name and a next-page href
+        // that need entities, so a slip in any one field fails here.
+        let college = net.add_school(hsp_graph::School {
+            id: SchoolId(0),
+            name: "State & Co. College".into(),
+            city,
+            kind: hsp_graph::SchoolKind::College,
+            public_enrollment_estimate: 9000,
+        });
+        let hometown = net.add_city("O'Fallon", "IL");
+        let posters: Vec<UserId> = ["Ann", "Bo"]
+            .into_iter()
+            .map(|first| {
+                net.add_user(hsp_graph::User {
+                    id: UserId(0),
+                    true_birth_date: D::ymd(1990, 1, 1),
+                    registration: hsp_graph::Registration {
+                        registered_birth_date: D::ymd(1990, 1, 1),
+                        registration_date: D::ymd(2008, 9, 1),
+                    },
+                    profile: hsp_graph::ProfileContent::bare(
+                        first,
+                        "O'Neil",
+                        hsp_graph::Gender::Female,
+                    ),
+                    privacy: hsp_graph::PrivacySettings::facebook_adult_default(),
+                    role: hsp_graph::Role::OtherResident,
+                })
+            })
+            .collect();
+        let rich = PublicView {
+            user: UserId(77),
+            name: "Zoë O'Hara & <Co>".into(),
+            gender: Some(hsp_graph::Gender::Female),
+            has_profile_photo: true,
+            networks: vec![school, college],
+            education: vec![
+                hsp_graph::EducationEntry::high_school(school, 2013),
+                hsp_graph::EducationEntry::college(college, None),
+                hsp_graph::EducationEntry::graduate_school(college),
+            ],
+            hometown: Some(hometown),
+            current_city: Some(city),
+            relationship: Some(hsp_graph::RelationshipStatus::Complicated),
+            interested_in: Some(hsp_graph::InterestedIn::Both),
+            birthday: Some(D::ymd(1994, 2, 28)),
+            friend_list_visible: true,
+            photos_shared: Some(12),
+            wall_posts: Some(7),
+            wall_posters: posters.clone(),
+            contact: Some(hsp_graph::ContactInfo {
+                email: Some("zoe@example.org".into()),
+                phone: Some("555-0100".into()),
+                address: Some("1 Main St".into()),
+            }),
+            message_button: true,
+        };
+        let html = hsp_platform::render::profile_page_stamped(&net, &rich, 3);
+        assert!(html.contains("O'Hara &amp; &lt;Co&gt;"), "name entities not exercised");
+        let expected = ScrapedProfile {
+            uid: Some(UserId(77)),
+            name: "Zoë O'Hara & <Co>".into(),
+            gender: Some("female".into()),
+            has_photo: true,
+            networks: vec![school, college],
+            education: vec![
+                ScrapedEducation {
+                    school,
+                    kind: ScrapedEduKind::HighSchool,
+                    grad_year: Some(2013),
+                },
+                ScrapedEducation {
+                    school: college,
+                    kind: ScrapedEduKind::College,
+                    grad_year: None,
+                },
+                ScrapedEducation {
+                    school: college,
+                    kind: ScrapedEduKind::GraduateSchool,
+                    grad_year: None,
+                },
+            ],
+            current_city: Some(city),
+            hometown: Some(hometown),
+            relationship: true,
+            interested_in: true,
+            birthday: Some(D::ymd(1994, 2, 28)),
+            photos_shared: Some(12),
+            wall_posts: Some(7),
+            wall_posters: posters,
+            has_contact_info: true,
+            friend_list_visible: true,
+            message_button: true,
+            generation: Some(3),
+            tombstoned: false,
+        };
+        assert_eq!(parse_profile(&html), expected);
+
+        let next = "/friends/u77?page=1&sort=O'Neil".to_string();
+        let listing = hsp_platform::render::listing_page_stamped(
+            "friends",
+            &[(UserId(3), "Ann O'Neil".into()), (UserId(4), "Bo & Co".into())],
+            Some(next.clone()),
+            11,
+        );
+        assert!(listing.contains("&amp;sort=O&#39;Neil"), "href entities not exercised");
+        assert_eq!(
+            parse_listing_stamped(&listing),
+            (vec![UserId(3), UserId(4)], Some(next), Some(11))
+        );
     }
 }

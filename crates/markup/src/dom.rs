@@ -28,13 +28,6 @@ impl Node {
             Node::Text(_) => None,
         }
     }
-
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Node::Text(t) => Some(t),
-            Node::Element(_) => None,
-        }
-    }
 }
 
 /// An element with a tag name, attributes (in insertion order) and
@@ -70,12 +63,6 @@ impl Element {
     /// Builder-style: append a child element.
     pub fn child(mut self, child: Element) -> Self {
         self.children.push(Node::Element(child));
-        self
-    }
-
-    /// Builder-style: append several child elements.
-    pub fn children(mut self, kids: impl IntoIterator<Item = Element>) -> Self {
-        self.children.extend(kids.into_iter().map(Node::Element));
         self
     }
 
@@ -122,21 +109,6 @@ impl Element {
                 Node::Element(e) => e.collect_text(out),
             }
         }
-    }
-
-    /// Depth-first iterator over all descendant elements (excluding self).
-    pub fn descendants(&self) -> Descendants<'_> {
-        Descendants { stack: self.children.iter().rev().collect() }
-    }
-
-    /// All descendant elements matching a predicate.
-    pub fn find_all<'a>(&'a self, mut pred: impl FnMut(&Element) -> bool + 'a) -> Vec<&'a Element> {
-        self.descendants().filter(move |e| pred(e)).collect()
-    }
-
-    /// First descendant element matching a predicate.
-    pub fn find(&self, mut pred: impl FnMut(&Element) -> bool) -> Option<&Element> {
-        self.descendants().find(|e| pred(e))
     }
 
     /// Render to an HTML string (escaped, no pretty-printing).
@@ -202,27 +174,6 @@ impl fmt::Display for Element {
     }
 }
 
-/// Depth-first descendant-element iterator.
-pub struct Descendants<'a> {
-    stack: Vec<&'a Node>,
-}
-
-impl<'a> Iterator for Descendants<'a> {
-    type Item = &'a Element;
-
-    fn next(&mut self) -> Option<&'a Element> {
-        while let Some(node) = self.stack.pop() {
-            if let Node::Element(e) = node {
-                for child in e.children.iter().rev() {
-                    self.stack.push(child);
-                }
-                return Some(e);
-            }
-        }
-        None
-    }
-}
-
 /// Shorthand constructor: `el("div")`.
 pub fn el(tag: &str) -> Element {
     Element::new(tag)
@@ -277,22 +228,5 @@ mod tests {
     fn text_content_concatenates_descendants() {
         let doc = el("p").text("Hello ").child(text_el("b", "bold")).text(" world");
         assert_eq!(doc.text_content(), "Hello bold world");
-    }
-
-    #[test]
-    fn descendants_are_depth_first_in_document_order() {
-        let doc = el("div")
-            .child(el("ul").child(text_el("li", "1")).child(text_el("li", "2")))
-            .child(el("p"));
-        let tags: Vec<&str> = doc.descendants().map(|e| e.tag.as_str()).collect();
-        assert_eq!(tags, vec!["ul", "li", "li", "p"]);
-    }
-
-    #[test]
-    fn find_locates_nested_elements() {
-        let doc = el("div").child(el("span").id("target").text("x"));
-        let found = doc.find(|e| e.get_attr("id") == Some("target")).unwrap();
-        assert_eq!(found.text_content(), "x");
-        assert!(doc.find(|e| e.tag == "nope").is_none());
     }
 }

@@ -4,12 +4,18 @@
 //! friend-list pages as HTML; the attacker (`hsp-crawler`) scrapes them
 //! back, exactly as the paper's crawlers "download the HTML source code
 //! of each Web page \[and\] extract relevant data" (§3.2). This crate
-//! provides both halves:
+//! provides:
 //!
-//! - [`dom`]: an element tree with a builder API and escaped rendering;
+//! - [`dom`]: an element tree with a builder API and escaped rendering
+//!   (the platform's renderer);
 //! - [`parser`]: a tolerant HTML parser that never panics on bad input;
-//! - [`mod@select`]: a tiny CSS-selector subset for scraping;
+//! - [`mod@select`]: a tiny CSS-selector subset;
 //! - [`escape`]: entity escaping/decoding.
+//!
+//! The crawler scrapes with a single-pass scanner of its own that lexes
+//! as [`parser`] does and decodes with [`unescape`]. The parser and the
+//! selectors are the reference its differential test compares against,
+//! and the platform's tests read rendered pages with them.
 
 pub mod dom;
 pub mod escape;

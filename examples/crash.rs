@@ -7,9 +7,10 @@
 //! group-commit batching. The gated number is the journal's *direct*
 //! write-path cost as a fraction of the journaled attack's wall (both
 //! measured in the same process, so host jitter cancels); the A/B
-//! wall comparison is recorded alongside it as evidence. A headline
-//! row goes to `BENCH_crash.json` at the workspace root;
-//! `scripts/crash.sh` re-reads that row and enforces the ≤5% gate.
+//! wall comparison is recorded alongside it as evidence. A full run
+//! appends a headline row to `BENCH_crash.json` at the workspace root,
+//! and `scripts/crash.sh` re-reads that row and enforces the ≤5% gate;
+//! a `--smoke` run prints its row and leaves the file alone.
 //!
 //! ```sh
 //! cargo run --release --example crash            # full gate
@@ -549,7 +550,7 @@ fn main() {
     );
 
     // ---- 5. headline row + gate ----
-    append_headline(serde_json::json!({
+    let row = serde_json::json!({
         "bench": "crash",
         "config": cfg_name,
         "smoke": smoke,
@@ -571,13 +572,16 @@ fn main() {
         "process_resume_recovery_us": field(&r, "recovery_us"),
         "process_resume_bit_identical": true,
         "found": yardstick.found,
-    }));
+    });
+    // Only a full run extends the history; a smoke run prints its row.
     if smoke {
+        println!("{}", serde_json::to_string(&row).expect("row serializes"));
         println!(
             "crash smoke complete: direct journal cost {direct_pct:.2}% of attack wall \
              (informational at {reps} reps), in-process and process-level resumes bit-identical"
         );
     } else {
+        append_headline(row);
         assert!(
             direct_pct <= max_overhead_pct,
             "journal write-path cost {direct_pct:.2}% of attack wall exceeds the \

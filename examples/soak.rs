@@ -23,7 +23,8 @@
 //! * memory stays bounded across the sweep (VmRSS growth is checked).
 //!
 //! On any violation the failing seed is printed and the process exits
-//! non-zero. Headline stats append to `BENCH_soak.json`.
+//! non-zero. A full (HS1) sweep appends its headline stats to
+//! `BENCH_soak.json`; the tiny smoke run prints them instead.
 //!
 //! ```sh
 //! scripts/soak.sh                      # full sweep (8 seeds, HS1)
@@ -460,50 +461,57 @@ fn soak_seed(cfg: &ScenarioConfig, seed: u64, base: &Baseline, smoke: bool) -> S
     }
 }
 
-/// Append one row per seed to `<workspace>/BENCH_soak.json`, mirroring
-/// the other BENCH files (a JSON array of run objects).
-fn append_bench(rows: &[SeedReport], scenario: &str) {
+/// One headline row per seed, in the `BENCH_soak.json` schema.
+fn bench_rows(rows: &[SeedReport], scenario: &str) -> Vec<serde_json::Value> {
+    rows.iter()
+        .map(|row| {
+            serde_json::json!({
+                "bench": "soak",
+                "scenario": scenario,
+                "seed": row.seed,
+                "completed": row.completed,
+                "error": row.error,
+                "found": row.table4.found as u64,
+                "correct_year": row.table4.correct_year as u64,
+                "total_requests": row.total_requests,
+                "retries": row.retries,
+                "sheds_absorbed_by_crawler": row.sheds_crawler,
+                "server_sheds": row.shed_server,
+                "server_rate_limited": row.rate_limited_server,
+                "chaos_faults": row.chaos_faults,
+                "chaos_delivered": row.chaos_delivered,
+                "chaos_aborted_before": row.chaos_aborted_before,
+                "post_redeliveries": row.post_redeliveries,
+                "auth_retries": row.auth_retries,
+                "ledger_gap": row.ledger_gap,
+                "politeness_widen_factor": row.widen_factor,
+                "blast_p99_ms": row.blast_p99_ms,
+                "attack_bg_p99_ms": row.attack_bg_p99_ms,
+                "drain_wall_ms": row.drain_wall_ms,
+                "drained_connections": row.drained_connections,
+                "drain_rejects": row.drain_rejects,
+                "rss_mb": row.rss_mb,
+                "violations": row.violations.len() as u64,
+            })
+        })
+        .collect()
+}
+
+/// Append rows to `<workspace>/BENCH_soak.json`, mirroring the other
+/// BENCH files (a JSON array of run objects).
+fn append_bench(entries: Vec<serde_json::Value>) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_soak.json");
     let mut runs: serde_json::Value = std::fs::read_to_string(path)
         .ok()
         .and_then(|s| serde_json::from_str(&s).ok())
         .unwrap_or_else(|| serde_json::json!([]));
-    for row in rows {
-        let entry = serde_json::json!({
-            "bench": "soak",
-            "scenario": scenario,
-            "seed": row.seed,
-            "completed": row.completed,
-            "error": row.error,
-            "found": row.table4.found as u64,
-            "correct_year": row.table4.correct_year as u64,
-            "total_requests": row.total_requests,
-            "retries": row.retries,
-            "sheds_absorbed_by_crawler": row.sheds_crawler,
-            "server_sheds": row.shed_server,
-            "server_rate_limited": row.rate_limited_server,
-            "chaos_faults": row.chaos_faults,
-            "chaos_delivered": row.chaos_delivered,
-            "chaos_aborted_before": row.chaos_aborted_before,
-            "post_redeliveries": row.post_redeliveries,
-            "auth_retries": row.auth_retries,
-            "ledger_gap": row.ledger_gap,
-            "politeness_widen_factor": row.widen_factor,
-            "blast_p99_ms": row.blast_p99_ms,
-            "attack_bg_p99_ms": row.attack_bg_p99_ms,
-            "drain_wall_ms": row.drain_wall_ms,
-            "drained_connections": row.drained_connections,
-            "drain_rejects": row.drain_rejects,
-            "rss_mb": row.rss_mb,
-            "violations": row.violations.len() as u64,
-        });
-        if let Some(arr) = runs.as_array_mut() {
-            arr.push(entry);
-        }
+    let added = entries.len();
+    if let Some(arr) = runs.as_array_mut() {
+        arr.extend(entries);
     }
     if let Ok(body) = serde_json::to_string_pretty(&runs) {
         if std::fs::write(path, body).is_ok() {
-            eprintln!("[soak] appended {} rows to BENCH_soak.json", rows.len());
+            eprintln!("[soak] appended {added} rows to BENCH_soak.json");
         }
     }
 }
@@ -596,7 +604,16 @@ fn main() {
         all_violations.push("no server-side sheds across the whole sweep".to_string());
     }
 
-    append_bench(&rows, &scenario);
+    // Only a full (HS1) sweep extends the history; a smoke run prints
+    // its rows.
+    let entries = bench_rows(&rows, &scenario);
+    if smoke {
+        for entry in &entries {
+            println!("{}", serde_json::to_string(entry).expect("row serializes"));
+        }
+    } else {
+        append_bench(entries);
+    }
     println!(
         "sweep: {} seeds, {} server sheds, {} chaos faults, rss {}MB -> {}MB",
         rows.len(),

@@ -7,7 +7,8 @@
 # fault-free baseline, zero server panics, zero double-sent POSTs, and
 # closed request ledgers across Effort / crawler / chaos / server /
 # route accounting. Headline stats (sheds, drain latency, chaos faults,
-# admitted p99) are appended to BENCH_soak.json at the workspace root.
+# admitted p99) are appended to BENCH_soak.json at the workspace root
+# (the tiny smoke scenario prints them instead).
 #
 # Tunables:
 #   SOAK_SEEDS     number of seeds to sweep (default 8)
