@@ -1259,22 +1259,206 @@ mod framing_proptests {
     use super::*;
     use proptest::prelude::*;
 
+    fn arb_ids() -> impl Strategy<Value = Vec<UserId>> {
+        proptest::collection::vec(any::<u64>(), 0..6)
+            .prop_map(|ids| ids.into_iter().map(UserId).collect())
+    }
+
+    fn arb_profile() -> impl Strategy<Value = ScrapedProfile> {
+        use crate::scrape::{ScrapedEduKind, ScrapedEducation};
+        use hsp_graph::{CityId, Date};
+        let education = (any::<u32>(), 0u8..3, proptest::option::of(any::<i32>())).prop_map(
+            |(school, kind, grad_year)| ScrapedEducation {
+                school: SchoolId(school),
+                kind: [
+                    ScrapedEduKind::HighSchool,
+                    ScrapedEduKind::College,
+                    ScrapedEduKind::GraduateSchool,
+                ][kind as usize],
+                grad_year,
+            },
+        );
+        (
+            (
+                proptest::option::of(any::<u64>()),
+                "[ -~]{0,12}",
+                proptest::option::of("[a-z]{1,6}"),
+                proptest::collection::vec(any::<u32>(), 0..3),
+                proptest::collection::vec(education, 0..3),
+                proptest::option::of(any::<u32>()),
+                proptest::option::of(any::<u32>()),
+                proptest::option::of((1900i32..2030, 1u8..=12, 1u8..=28)),
+            ),
+            (
+                proptest::option::of(any::<u32>()),
+                proptest::option::of(any::<u32>()),
+                arb_ids(),
+                proptest::option::of(any::<u64>()),
+                any::<u8>(),
+            ),
+        )
+            .prop_map(
+                |(
+                    (uid, name, gender, networks, education, city, hometown, birthday),
+                    (photos_shared, wall_posts, wall_posters, generation, flags),
+                )| ScrapedProfile {
+                    uid: uid.map(UserId),
+                    name,
+                    gender,
+                    has_photo: flags & 1 != 0,
+                    networks: networks.into_iter().map(SchoolId).collect(),
+                    education,
+                    current_city: city.map(CityId),
+                    hometown: hometown.map(CityId),
+                    relationship: flags & 2 != 0,
+                    interested_in: flags & 4 != 0,
+                    birthday: birthday.map(|(y, m, d)| Date::ymd(y, m, d)),
+                    photos_shared,
+                    wall_posts,
+                    wall_posters,
+                    has_contact_info: flags & 8 != 0,
+                    friend_list_visible: flags & 16 != 0,
+                    message_button: flags & 32 != 0,
+                    generation,
+                    tombstoned: flags & 64 != 0,
+                },
+            )
+    }
+
+    fn arb_lane() -> impl Strategy<Value = LaneState> {
+        (
+            (any::<u64>(), "[a-z0-9-]{1,8}", any::<bool>(), any::<u64>(), any::<u64>()),
+            proptest::collection::vec(("[a-z]{1,8}", any::<u32>(), any::<bool>()), 0..3),
+            (
+                proptest::collection::vec(("[a-z]{1,6}", "[ -~]{0,8}"), 0..2),
+                any::<u64>(),
+                any::<u64>(),
+            ),
+            (
+                any::<u64>(),
+                any::<u64>(),
+                proptest::option::of(any::<u64>()),
+                0u64..64,
+                any::<u32>(),
+            ),
+        )
+            .prop_map(
+                |(
+                    (index, username, suspended, local_ms, requests),
+                    breakers,
+                    (cookies, attempt_seq, jitter_state),
+                    (draws, profiles, revisit, widen_factor, calm_streak),
+                )| LaneState {
+                    index: index % 8,
+                    password: format!("{username}-pw"),
+                    username,
+                    suspended,
+                    effort: Effort {
+                        profile_requests: requests,
+                        captcha_virtual_ms: requests / 3,
+                        ..Effort::default()
+                    },
+                    local_ms,
+                    clock_ms: local_ms / 2,
+                    breakers: breakers
+                        .into_iter()
+                        .map(|(ep, consecutive, open)| (ep, BreakerState { consecutive, open }))
+                        .collect(),
+                    trace_ordinal: requests ^ local_ms,
+                    transport: TransportJournalState { cookies, attempt_seq, jitter_state },
+                    pacing: PacingState {
+                        draws,
+                        profiles,
+                        revisit: revisit.map(UserId),
+                        widen_factor,
+                        calm_streak,
+                    },
+                },
+            )
+    }
+
+    fn arb_sched() -> impl Strategy<Value = SchedState> {
+        (any::<u64>(), any::<u64>(), 0u64..8, any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
+            |(rr, modeled_wall_ms, recruited, stale_refetches, retries, sheds)| SchedState {
+                rr,
+                modeled_wall_ms,
+                recruited,
+                stale_refetches,
+                retry_stats: RetryStatsState {
+                    retries,
+                    sheds,
+                    throttled: retries ^ sheds,
+                    ..RetryStatsState::default()
+                },
+            },
+        )
+    }
+
+    fn arb_state() -> impl Strategy<Value = ResumeState> {
+        (
+            "[a-z]{1,6}",
+            (any::<u32>(), arb_ids()),
+            (any::<u64>(), arb_profile()),
+            (any::<u64>(), proptest::option::of(arb_ids()), any::<u64>()),
+            arb_lane(),
+            arb_sched(),
+        )
+            .prop_map(
+                |(label, (school, seeds), (p, profile), (f, friends, gen), lane, sched)| {
+                    let mut state =
+                        ResumeState { label, lanes: vec![lane], sched, ..Default::default() };
+                    state.seeds.insert(SchoolId(school), seeds);
+                    state.profiles.insert(UserId(p), profile);
+                    state.friends.insert(UserId(f), friends);
+                    state.friends_gen.insert(UserId(f), gen);
+                    state.incomplete.push(UserId(f));
+                    state.tombstoned.push(UserId(p));
+                    state.circles.push(CirclesEntry {
+                        uid: UserId(f),
+                        incoming: gen % 2 == 0,
+                        members: None,
+                    });
+                    state
+                },
+            )
+    }
+
+    /// Draws every record variant.
     fn arb_record() -> impl Strategy<Value = JournalRecord> {
         prop_oneof![
-            (any::<u32>(), proptest::collection::vec(any::<u64>(), 0..6)).prop_map(|(s, ids)| {
-                JournalRecord::SeedsCollected {
-                    school: SchoolId(s),
-                    seeds: ids.into_iter().map(UserId).collect(),
-                }
+            arb_state().prop_map(|state| JournalRecord::Base { state }),
+            (any::<u32>(), arb_ids()).prop_map(|(s, seeds)| JournalRecord::SeedsCollected {
+                school: SchoolId(s),
+                seeds,
             }),
-            (any::<u64>(), any::<bool>(), proptest::option::of(any::<u64>())).prop_map(
-                |(u, partial, gen)| JournalRecord::FriendsCommitted {
+            (any::<u64>(), arb_profile()).prop_map(|(u, profile)| {
+                JournalRecord::ProfileCommitted { uid: UserId(u), profile }
+            }),
+            (
+                any::<u64>(),
+                proptest::option::of(arb_ids()),
+                any::<bool>(),
+                proptest::option::of(any::<u64>())
+            )
+                .prop_map(|(u, friends, partial, gen)| {
+                    JournalRecord::FriendsCommitted { uid: UserId(u), friends, partial, gen }
+                }),
+            (any::<u64>(), any::<bool>(), proptest::option::of(arb_ids())).prop_map(
+                |(u, incoming, members)| JournalRecord::CirclesCommitted {
                     uid: UserId(u),
-                    friends: Some(vec![UserId(u ^ 1)]),
-                    partial,
-                    gen,
+                    incoming,
+                    members,
                 }
             ),
+            arb_lane().prop_map(|lane| JournalRecord::Lane { lane }),
+            arb_sched().prop_map(|sched| JournalRecord::Sched { sched }),
+            "[a-z_]{1,12}".prop_map(|op| JournalRecord::Commit { op }),
+            proptest::collection::vec(arb_lane(), 0..3)
+                .prop_map(|lanes| JournalRecord::Lanes { lanes }),
+            any::<u64>().prop_map(|u| JournalRecord::LaneRecruited {
+                index: u % 8,
+                username: format!("w-r{}", u % 8)
+            }),
             (any::<u64>(), any::<bool>())
                 .prop_map(|(u, accepted)| JournalRecord::MessageSent { uid: UserId(u), accepted }),
             any::<u64>().prop_map(|u| JournalRecord::LaneSuspended {

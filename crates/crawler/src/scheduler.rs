@@ -1904,6 +1904,100 @@ mod tests {
         assert_eq!(live_1 + 1, total_1, "exactly one account suspended");
     }
 
+    /// A crawler equals the fold of its own journal: chaos faults, live
+    /// churn, and a seat suspended mid-batch so the fleet recruits and
+    /// grows its lanes, at 1 and 4 workers.
+    #[test]
+    fn crawler_equals_the_fold_of_its_own_journal() {
+        use crate::journal::{fold_state, recover, state_digest};
+        use hsp_http::{ResilientExchange, RetryPolicy};
+
+        let run = |workers: usize| {
+            let cfg = ScenarioConfig::tiny();
+            let scenario = generate(&cfg);
+            let churn = hsp_synth::ChurnModel::from_scenario(&cfg).scaled(16.0);
+            let platform = Platform::new(
+                Arc::new(scenario.network.clone()),
+                Arc::new(FacebookPolicy::new()),
+                PlatformConfig {
+                    faults: FaultPlan { suspend_account_after: vec![10], ..FaultPlan::chaos() },
+                    mutations: hsp_platform::MutationPlan {
+                        enabled: true,
+                        horizon_ms: 7_200_000,
+                        signup_per_mille: churn.signup_per_mille,
+                        friend_per_mille: churn.friend_per_mille,
+                        defriend_per_mille: churn.defriend_per_mille,
+                        privacy_flip_per_mille: churn.privacy_flip_per_mille,
+                        deactivate_per_mille: churn.deactivate_per_mille,
+                        rollover_at_ms: vec![3_600_000],
+                        ..hsp_platform::MutationPlan::default()
+                    },
+                    ..PlatformConfig::default()
+                },
+            );
+            let handler = platform.into_handler();
+            let stats = Arc::new(RetryStats::default());
+            let seat = {
+                let (handler, stats) = (handler.clone(), Arc::clone(&stats));
+                let mut next = 0u64;
+                move || {
+                    next += 1;
+                    let clock = VirtualClock::shared();
+                    AccountSeat {
+                        exchange: ResilientExchange::with_stats(
+                            DirectExchange::new(handler.clone()),
+                            RetryPolicy::seeded(next),
+                            Arc::clone(&clock),
+                            Arc::clone(&stats),
+                        )
+                        .with_attempt_seq(),
+                        clock: Some(clock),
+                    }
+                }
+            };
+            let mut seat = seat;
+            let seats = vec![seat(), seat()];
+            let dir = std::env::temp_dir().join("hsp-scheduler-fold-test");
+            std::fs::create_dir_all(&dir).expect("tmp dir");
+            let path = dir.join(format!("fold-{workers}.wal"));
+            let mut crawler = ParallelCrawler::builder("fold")
+                .workers(workers)
+                .observability(&platform.obs)
+                .retry_stats(stats)
+                .recruit_with(seat, 8)
+                .journal(Journal::create(&path).expect("journal"))
+                .build(seats)
+                .expect("enrolled");
+            let seeds = crawler.collect_seeds(scenario.school).unwrap();
+            crawler.prefetch_profiles(&seeds).unwrap();
+            crawler.prefetch_friends(&seeds).unwrap();
+            let mut fof: Vec<UserId> = seeds
+                .iter()
+                .filter_map(|u| crawler.friends(*u).unwrap())
+                .flatten()
+                .take(60)
+                .collect();
+            fof.sort_unstable();
+            crawler.prefetch_profiles(&fof).unwrap();
+            crawler.prefetch_friends(&fof).unwrap();
+            crawler.circles(seeds[0], false).unwrap();
+            crawler.circles(seeds[1], true).unwrap();
+            for &u in seeds.iter().take(3) {
+                let _ = crawler.send_message(u, "hi");
+            }
+            crawler.prefetch_profiles(&[scenario.roster()[0]]).unwrap();
+            assert!(crawler.account_count() > 2, "the fleet recruited");
+            let expected = state_digest(&crawler.resume_state());
+            drop(crawler);
+            let log = recover(&path).expect("recover");
+            let folded = fold_state(&log.records).expect("fold").expect("state");
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(state_digest(&folded), expected, "{workers} workers: fold != crawler");
+        };
+        run(1);
+        run(4);
+    }
+
     #[test]
     fn observability_counts_fetches_caches_and_politeness() {
         let (platform, s) = tiny_platform(FaultPlan::default());
