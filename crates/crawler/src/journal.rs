@@ -1,13 +1,19 @@
 //! Durable crawl journal: a length-prefixed, CRC32-framed, monotonically
-//! sequenced append-only WAL of per-lane crawl events, with group-commit
-//! batching and atomic snapshot compaction.
+//! sequenced append-only WAL of the crawler's committed state changes,
+//! with group-commit batching.
 //!
 //! The paper's crawl ran for weeks from commodity machines; the
 //! reproduction's attacker must therefore be **crash-only**: killing the
 //! process at any instant — including mid-`write(2)`, leaving a torn
 //! frame — and restarting it must reproduce the uninterrupted run
-//! bit-for-bit. The journal is the attacker's only durable state:
+//! bit-for-bit. The journal is the attacker's only on-disk format:
 //!
+//! - **One state, one transition**: [`ResumeState`] is the crawler's
+//!   committed state. Each crawl operation builds its
+//!   [`JournalRecord`]s, appends them when a journal is attached, then
+//!   applies them with [`ResumeState::apply`] — the function
+//!   [`fold_state`] runs over a recovered log. A crawler therefore
+//!   equals the fold of its own journal by construction.
 //! - **Framing**: each record is `[u32 len][u64 seq][u32 crc][payload]`
 //!   (little-endian). The CRC covers the sequence number *and* the
 //!   payload, so a flipped byte anywhere in a frame — including its
@@ -25,10 +31,10 @@
 //!   it — that distinction is what makes recovery safe rather than
 //!   merely permissive. Sequence gaps between valid frames are hard
 //!   errors too.
-//! - **Compaction**: a fresh journal holding one `Base` snapshot of the
-//!   folded state is written to `<path>.tmp`, fsynced, then renamed
-//!   over the live journal — the old journal stays authoritative until
-//!   the compacted file is durable.
+//! - **Reopen**: [`Journal::create_with_base`] writes one `Base` record
+//!   of the recovered state to `<path>.tmp`, fsyncs it, then renames it
+//!   over the old journal, which stays authoritative until the new file
+//!   is durable. It is the journal's only compaction.
 //!
 //! Kill-point injection ([`KillPlan`]) deterministically simulates the
 //! crash at flush time: bytes up to (or partway into) the N-th record
@@ -38,11 +44,11 @@
 
 use crate::effort::Effort;
 use crate::scrape::ScrapedProfile;
-use crate::snapshot::fnv1a;
 use hsp_graph::{SchoolId, UserId};
+use hsp_obs::trace::{fnv1a_chain, FNV_OFFSET};
 use hsp_obs::{Counter, Histogram, Registry};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -77,20 +83,22 @@ const fn crc32_table() -> [u32; 256] {
 
 static CRC_TABLE: [u32; 256] = crc32_table();
 
-/// IEEE CRC32 (table-based; no external crate).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xffff_ffffu32;
+/// Run the CRC32 register `c` over `bytes` (no pre- or post-inversion).
+fn crc_update(mut c: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
-    c ^ 0xffff_ffff
+    c
 }
 
+/// IEEE CRC32 (table-based; no external crate).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    crc_update(0xffff_ffff, bytes) ^ 0xffff_ffff
+}
+
+/// A frame's CRC: `crc32(seq ‖ payload)`, without concatenating them.
 fn crc_of(seq: u64, payload: &[u8]) -> u32 {
-    let mut framed = Vec::with_capacity(8 + payload.len());
-    framed.extend_from_slice(&seq.to_le_bytes());
-    framed.extend_from_slice(payload);
-    crc32(&framed)
+    crc_update(crc_update(0xffff_ffff, &seq.to_le_bytes()), payload) ^ 0xffff_ffff
 }
 
 /// Journal failures. `Killed` is the deterministic kill-point firing —
@@ -152,7 +160,7 @@ impl From<std::io::Error> for JournalError {
 
 /// Deterministic crash injection: the process "dies" while flushing the
 /// group that contains lifetime record number `after_records` (1-based,
-/// across compactions). Bytes up to the end of that record's frame —
+/// counting a reopen's `Base` group). Bytes up to the end of that record's frame —
 /// or only `torn_bytes` of it, simulating a torn sector write — reach
 /// the file; the rest of the group is lost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -343,8 +351,8 @@ pub struct SchedState {
     pub retry_stats: RetryStatsState,
 }
 
-/// One circles-cache entry (`(uid, incoming) -> members`), kept as a
-/// struct list rather than a tuple-keyed map for serialization.
+/// One committed circles page set (`(uid, incoming) -> members`), kept
+/// as a struct list rather than a tuple-keyed map for serialization.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CirclesEntry {
     pub uid: UserId,
@@ -352,30 +360,99 @@ pub struct CirclesEntry {
     pub members: Option<Vec<UserId>>,
 }
 
-/// Everything a killed crawler needs to resume bit-identically: caches,
-/// world-generation stamps, per-lane state, scheduler state.
+/// The crawler's committed state, and everything a killed crawler needs
+/// to resume bit-identically: what the crawl fetched, world-generation
+/// stamps, per-lane state, scheduler state. [`ResumeState::apply`] is
+/// its only transition, live and in recovery alike.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResumeState {
+    /// The crawl's label; account usernames derive from it.
     pub label: String,
     pub seeds: BTreeMap<SchoolId, Vec<UserId>>,
     pub profiles: BTreeMap<UserId, ScrapedProfile>,
     pub friends: BTreeMap<UserId, Option<Vec<UserId>>>,
+    /// Sorted by `(uid, incoming)`.
     pub circles: Vec<CirclesEntry>,
-    pub incomplete: Vec<UserId>,
-    pub tombstoned: Vec<UserId>,
+    /// Users whose committed friend list is partial.
+    pub incomplete: BTreeSet<UserId>,
+    /// Users served tombstone pages (live-world deactivations and
+    /// graduation rollovers).
+    pub tombstoned: BTreeSet<UserId>,
     /// `x-world-gen` stamp each committed friend list was read at —
     /// restored so resumed pair-reconciliation sees the pre-crash view.
     pub friends_gen: BTreeMap<UserId, u64>,
+    /// Sorted by index (enrollment order).
     pub lanes: Vec<LaneState>,
     pub sched: SchedState,
 }
 
-/// One journal record. Fine-grained events carry the crawl's data; the
-/// per-group `Lanes`/`Sched` records carry the (small) mutable machine
-/// state; `Commit` seals a group; `Base` is a compacted snapshot.
+impl ResumeState {
+    /// Advance the state by one committed record. The live crawler
+    /// applies each group it seals with this, and [`fold_state`] replays
+    /// a recovered log with it.
+    pub fn apply(&mut self, record: JournalRecord) {
+        match record {
+            JournalRecord::Base { state } => *self = state,
+            JournalRecord::SeedsCollected { school, seeds } => {
+                self.seeds.insert(school, seeds);
+            }
+            JournalRecord::ProfileCommitted { uid, profile } => {
+                if profile.tombstoned {
+                    self.tombstoned.insert(uid);
+                }
+                self.profiles.insert(uid, profile);
+            }
+            JournalRecord::FriendsCommitted { uid, friends, partial, gen } => {
+                if partial {
+                    self.incomplete.insert(uid);
+                } else {
+                    self.incomplete.remove(&uid);
+                }
+                if let Some(g) = gen {
+                    self.friends_gen.insert(uid, g);
+                }
+                self.friends.insert(uid, friends);
+            }
+            JournalRecord::CirclesCommitted { uid, incoming, members } => {
+                match self.circles_slot(uid, incoming) {
+                    Ok(i) => self.circles[i].members = members,
+                    Err(i) => self.circles.insert(i, CirclesEntry { uid, incoming, members }),
+                }
+            }
+            JournalRecord::Lane { lane } => {
+                match self.lanes.iter_mut().find(|l| l.index == lane.index) {
+                    Some(slot) => *slot = lane,
+                    None => {
+                        self.lanes.push(lane);
+                        self.lanes.sort_by_key(|l| l.index);
+                    }
+                }
+            }
+            JournalRecord::Sched { sched } => self.sched = sched,
+            JournalRecord::Commit { .. } => {}
+        }
+    }
+
+    /// The committed circles of `uid` in direction `incoming`, if fetched
+    /// (`None` inside: hidden from strangers).
+    pub fn circles_of(&self, uid: UserId, incoming: bool) -> Option<&Option<Vec<UserId>>> {
+        self.circles_slot(uid, incoming).ok().map(|i| &self.circles[i].members)
+    }
+
+    fn circles_slot(&self, uid: UserId, incoming: bool) -> Result<usize, usize> {
+        self.circles.binary_search_by_key(&(uid, incoming), |c| (c.uid, c.incoming))
+    }
+}
+
+/// One journal record: one committed change to a [`ResumeState`]. Data
+/// records carry what the crawl fetched; `Lane`/`Sched` carry the
+/// (small) mutable machine state; `Commit` seals a group; `Base` is a
+/// whole state, a journal's first record.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum JournalRecord {
-    /// Compaction base: the folded state of everything before it.
+    /// A whole state: the crawler's at enrollment, or the folded state
+    /// of a recovered journal when [`Journal::create_with_base`] reopens
+    /// it.
     Base {
         state: ResumeState,
     },
@@ -398,29 +475,10 @@ pub enum JournalRecord {
         incoming: bool,
         members: Option<Vec<UserId>>,
     },
-    MessageSent {
-        uid: UserId,
-        accepted: bool,
-    },
-    /// A lane was suspended by the platform since the previous group.
-    LaneSuspended {
-        index: u64,
-        username: String,
-    },
-    /// A lane was recruited (fleet escalation) since the previous group.
-    LaneRecruited {
-        index: u64,
-        username: String,
-    },
-    /// Full per-lane state at this commit boundary (fleets are small).
-    Lanes {
-        lanes: Vec<LaneState>,
-    },
-    /// Delta: one lane's state at this commit boundary. The scheduler
-    /// emits these instead of a full [`JournalRecord::Lanes`] snapshot
-    /// when only some lanes moved since the previous group — on a
-    /// send-message group that's one lane out of the whole fleet, which
-    /// is most of the journal's serialization volume.
+    /// One lane's state at this commit boundary, upserted by index. The
+    /// crawler emits one per lane that moved since the previous group,
+    /// a newly recruited lane included — on a send-message group that
+    /// is one lane out of the whole fleet.
     Lane {
         lane: LaneState,
     },
@@ -444,7 +502,6 @@ pub struct JournalMetrics {
     /// Wall time spent inside journal write-path calls, in microseconds
     /// (see [`Journal::time_spent`]).
     pub write_us_total: Arc<Counter>,
-    pub compactions_total: Arc<Counter>,
     pub recovery_runs_total: Arc<Counter>,
     pub recovery_records_total: Arc<Counter>,
     pub recovery_discarded_records_total: Arc<Counter>,
@@ -460,7 +517,6 @@ impl JournalMetrics {
             groups_total: reg.counter("crawler_journal_groups_total"),
             syncs_total: reg.counter("crawler_journal_syncs_total"),
             write_us_total: reg.counter("crawler_journal_write_us_total"),
-            compactions_total: reg.counter("crawler_journal_compactions_total"),
             recovery_runs_total: reg.counter("crawler_recovery_runs_total"),
             recovery_records_total: reg.counter("crawler_recovery_records_total"),
             recovery_discarded_records_total: reg
@@ -480,7 +536,7 @@ pub struct Journal {
     pending: Vec<u8>,
     /// `(end offset in pending, frame length)` per buffered record.
     pending_records: Vec<(usize, usize)>,
-    /// Durable records (lifetime, across compactions).
+    /// Durable records (lifetime, including a reopen's `Base` group).
     records_written: u64,
     bytes_written: u64,
     groups_committed: u64,
@@ -521,7 +577,8 @@ impl Journal {
     /// of `state` — the resume path's "reopen" primitive. The base is
     /// staged in `<path>.tmp` and renamed over the old journal only
     /// once durable, so a crash mid-reopen leaves the old journal (the
-    /// only copy of the recovered state) authoritative.
+    /// only copy of the recovered state) authoritative. It is the
+    /// journal's only compaction.
     pub fn create_with_base(path: &Path, state: &ResumeState) -> Result<Journal, JournalError> {
         let t0 = std::time::Instant::now();
         let mut tmp_name = path.as_os_str().to_os_string();
@@ -546,8 +603,8 @@ impl Journal {
     }
 
     /// Group-commit batching: fdatasync only every `n`-th committed
-    /// group (plus the first group of a file, [`Journal::sync`],
-    /// [`Journal::compact`], and drop). Commit *records* still seal
+    /// group (plus the first group of a file, [`Journal::sync`], and
+    /// drop). Commit *records* still seal
     /// every group, so recovery semantics are unchanged; what widens is
     /// the window of committed-but-not-yet-durable groups an actual
     /// power cut could lose — which a resume tolerates by re-driving
@@ -557,7 +614,12 @@ impl Journal {
         self
     }
 
+    /// Count this journal's writes in `metrics`. Write-path time already
+    /// spent — a [`Journal::create_with_base`] reopen — is credited to
+    /// `write_us_total` now, so the counter keeps matching
+    /// [`Journal::time_spent`].
     pub fn with_metrics(mut self, metrics: JournalMetrics) -> Journal {
+        metrics.write_us_total.add(self.spent.as_micros() as u64);
         self.metrics = Some(metrics);
         self
     }
@@ -601,7 +663,7 @@ impl Journal {
     }
 
     /// Wall time this journal has spent in its write path (encoding,
-    /// group flushes, fdatasync, compaction). The direct journaling
+    /// group flushes, fdatasync, the reopen). The direct journaling
     /// cost as seen by the crawl that carries the journal — an *upper*
     /// bound on the overhead vs an un-journaled run, since some of this
     /// time would otherwise overlap network waits. Measured in-process,
@@ -709,46 +771,6 @@ impl Journal {
             if let Some(m) = &self.metrics {
                 m.syncs_total.inc();
             }
-        }
-        Ok(())
-    }
-
-    /// Atomic compaction: write a fresh journal containing one `Base`
-    /// group for `state` to `<path>.tmp`, fsync it, and rename it over
-    /// the live journal. The old journal is only replaced once the
-    /// compacted file is durable — a crash anywhere in between leaves
-    /// the old journal authoritative.
-    pub fn compact(&mut self, state: &ResumeState) -> Result<(), JournalError> {
-        if self.killed {
-            return Err(JournalError::Killed);
-        }
-        if !self.pending.is_empty() {
-            return Err(JournalError::Encode("compact with uncommitted records".into()));
-        }
-        let t0 = std::time::Instant::now();
-        let r = self.compact_inner(state);
-        self.note_spent(t0);
-        r
-    }
-
-    fn compact_inner(&mut self, state: &ResumeState) -> Result<(), JournalError> {
-        let mut tmp_name = self.path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = PathBuf::from(tmp_name);
-        // Re-encode from seq 0: a compacted journal is a fresh log.
-        self.next_seq = 0;
-        self.encode_frame(&JournalRecord::Base { state: state.clone() })?;
-        self.encode_frame(&JournalRecord::Commit { op: "compact".to_string() })?;
-        // Point the writer at the tmp file for the flush; a kill (or IO
-        // failure) mid-flush abandons the tmp file before the rename,
-        // leaving the old journal authoritative.
-        self.file = std::fs::File::create(&tmp)?;
-        self.flush_group()?;
-        self.sync_inner()?; // the compacted snapshot must be durable pre-rename
-        std::fs::rename(&tmp, &self.path)?;
-        self.file = std::fs::OpenOptions::new().append(true).open(&self.path)?;
-        if let Some(m) = &self.metrics {
-            m.compactions_total.inc();
         }
         Ok(())
     }
@@ -901,69 +923,16 @@ pub fn recover_instrumented(
 /// an error when the first committed record is not a `Base` — a journal
 /// always begins with one.
 pub fn fold_state(records: &[JournalRecord]) -> Result<Option<ResumeState>, JournalError> {
-    if records.is_empty() {
-        return Ok(None);
+    let Some(first) = records.first() else { return Ok(None) };
+    if !matches!(first, JournalRecord::Base { .. }) {
+        return Err(JournalError::Decode {
+            seq: 0,
+            detail: format!("journal does not begin with a Base record: {first:?}"),
+        });
     }
-    let mut state = match &records[0] {
-        JournalRecord::Base { state } => state.clone(),
-        other => {
-            return Err(JournalError::Decode {
-                seq: 0,
-                detail: format!("journal does not begin with a Base record: {other:?}"),
-            })
-        }
-    };
-    for record in &records[1..] {
-        match record {
-            JournalRecord::Base { state: base } => state = base.clone(),
-            JournalRecord::SeedsCollected { school, seeds } => {
-                state.seeds.insert(*school, seeds.clone());
-            }
-            JournalRecord::ProfileCommitted { uid, profile } => {
-                if profile.tombstoned && !state.tombstoned.contains(uid) {
-                    state.tombstoned.push(*uid);
-                    state.tombstoned.sort_unstable();
-                }
-                state.profiles.insert(*uid, profile.clone());
-            }
-            JournalRecord::FriendsCommitted { uid, friends, partial, gen } => {
-                if *partial {
-                    if !state.incomplete.contains(uid) {
-                        state.incomplete.push(*uid);
-                        state.incomplete.sort_unstable();
-                    }
-                } else {
-                    state.incomplete.retain(|u| u != uid);
-                }
-                if let Some(g) = gen {
-                    state.friends_gen.insert(*uid, *g);
-                }
-                state.friends.insert(*uid, friends.clone());
-            }
-            JournalRecord::CirclesCommitted { uid, incoming, members } => {
-                state.circles.retain(|c| !(c.uid == *uid && c.incoming == *incoming));
-                state.circles.push(CirclesEntry {
-                    uid: *uid,
-                    incoming: *incoming,
-                    members: members.clone(),
-                });
-            }
-            JournalRecord::MessageSent { .. }
-            | JournalRecord::LaneSuspended { .. }
-            | JournalRecord::LaneRecruited { .. }
-            | JournalRecord::Commit { .. } => {}
-            JournalRecord::Lanes { lanes } => state.lanes = lanes.clone(),
-            JournalRecord::Lane { lane } => {
-                match state.lanes.iter_mut().find(|l| l.index == lane.index) {
-                    Some(slot) => *slot = lane.clone(),
-                    None => {
-                        state.lanes.push(lane.clone());
-                        state.lanes.sort_by_key(|l| l.index);
-                    }
-                }
-            }
-            JournalRecord::Sched { sched } => state.sched = sched.clone(),
-        }
+    let mut state = ResumeState::default();
+    for record in records {
+        state.apply(record.clone());
     }
     Ok(Some(state))
 }
@@ -971,7 +940,7 @@ pub fn fold_state(records: &[JournalRecord]) -> Result<Option<ResumeState>, Jour
 /// Payload digest of a resume state (diagnostics / test assertions).
 pub fn state_digest(state: &ResumeState) -> u64 {
     let value = serde_json::to_value(state).expect("resume state serializes");
-    fnv1a(value.render_compact().as_bytes())
+    fnv1a_chain(FNV_OFFSET, value.render_compact().as_bytes())
 }
 
 #[cfg(test)]
@@ -992,7 +961,7 @@ mod tests {
                 school: SchoolId(3),
                 seeds: vec![UserId(1), UserId(9)],
             },
-            JournalRecord::Lanes { lanes: vec![LaneState { index: 0, ..Default::default() }] },
+            JournalRecord::Lane { lane: LaneState { index: 0, ..Default::default() } },
             JournalRecord::Sched { sched: SchedState::default() },
             JournalRecord::Commit { op: "collect_seeds".into() },
             JournalRecord::FriendsCommitted {
@@ -1160,7 +1129,7 @@ mod tests {
         // faking a commit-less write (simulate: records buffered only —
         // nothing hits the file, so recovery sees the committed log).
         journal
-            .append(&JournalRecord::MessageSent { uid: UserId(5), accepted: true })
+            .append(&JournalRecord::SeedsCollected { school: SchoolId(5), seeds: vec![] })
             .expect("append");
         drop(journal);
         let log = recover(&path).expect("recover");
@@ -1217,40 +1186,109 @@ mod tests {
     }
 
     #[test]
-    fn compaction_is_atomic_and_restartable() {
-        let path = tmp_path("compact.wal");
-        let mut journal = write_log(&path, &sample_records());
+    fn reopen_folds_to_the_same_state_and_stays_appendable() {
+        let path = tmp_path("reopen.wal");
+        drop(write_log(&path, &sample_records()));
         let log = recover(&path).expect("recover");
         let state = fold_state(&log.records).expect("fold").expect("state");
-        journal.compact(&state).expect("compact");
+        let mut journal = Journal::create_with_base(&path, &state).expect("reopen");
         assert!(!path.with_extension("wal.tmp").exists());
-        // The compacted journal folds to the same state.
-        let compacted = recover(&path).expect("recover compacted");
-        assert_eq!(compacted.groups, 1);
-        let refolded = fold_state(&compacted.records).expect("fold").expect("state");
+        // The reopened journal is one Base group folding to the same state.
+        let reopened = recover(&path).expect("recover reopened");
+        assert_eq!(reopened.groups, 1);
+        let refolded = fold_state(&reopened.records).expect("fold").expect("state");
         assert_eq!(state_digest(&refolded), state_digest(&state));
         // And stays appendable.
         journal
-            .append(&JournalRecord::MessageSent { uid: UserId(7), accepted: false })
+            .append(&JournalRecord::SeedsCollected { school: SchoolId(7), seeds: vec![UserId(2)] })
             .expect("append");
-        journal.commit("send_message").expect("commit");
+        journal.commit("collect_seeds").expect("commit");
         let after = recover(&path).expect("recover after append");
         assert_eq!(after.groups, 2);
+        let folded = fold_state(&after.records).expect("fold").expect("state");
+        assert_eq!(folded.seeds[&SchoolId(7)], vec![UserId(2)]);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn kill_during_compaction_preserves_old_journal() {
-        let path = tmp_path("compact_kill.wal");
-        let mut journal = write_log(&path, &sample_records());
+    fn a_crashed_reopen_leaves_the_old_journal_authoritative() {
+        let path = tmp_path("reopen_crash.wal");
+        let tmp = path.with_extension("wal.tmp");
+        drop(write_log(&path, &sample_records()));
         let before = recover(&path).expect("recover");
         let state = fold_state(&before.records).expect("fold").expect("state");
-        journal.kill = Some(KillPlan::after(journal.records_written() + 1));
-        assert!(matches!(journal.compact(&state), Err(JournalError::Killed)));
-        // The rename never happened: the original journal is untouched.
-        let after = recover(&path).expect("recover");
-        assert_eq!(after.records, before.records);
+        let staged = tmp_path("reopen_crash_staged.wal");
+        drop(Journal::create_with_base(&staged, &state).expect("stage"));
+        let base = std::fs::read(&staged).expect("staged bytes");
+        // A reopen that died before its rename leaves `<path>.tmp`
+        // behind: whole (stale) or cut mid-frame (torn).
+        for leftover in [&base[..], &base[..base.len() / 2]] {
+            drop(write_log(&path, &sample_records()));
+            std::fs::write(&tmp, leftover).expect("leftover tmp");
+            let recovered = recover(&path).expect("recover beside the leftover");
+            assert_eq!(recovered.records, before.records, "the old journal stays authoritative");
+            // The restarted reopen replaces the leftover.
+            drop(Journal::create_with_base(&path, &state).expect("reopen over the leftover"));
+            assert!(!tmp.exists());
+            let reopened = recover(&path).expect("recover reopened");
+            let refolded = fold_state(&reopened.records).expect("fold").expect("state");
+            assert_eq!(state_digest(&refolded), state_digest(&state));
+        }
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&staged);
+    }
+
+    #[test]
+    fn write_us_counter_credits_the_reopen() {
+        let path = tmp_path("reopen_metrics.wal");
+        drop(write_log(&path, &sample_records()));
+        let log = recover(&path).expect("recover");
+        let state = fold_state(&log.records).expect("fold").expect("state");
+        let metrics = JournalMetrics::register(&Registry::new());
+        let mut journal =
+            Journal::create_with_base(&path, &state).expect("reopen").with_metrics(metrics.clone());
+        journal.append(&JournalRecord::Sched { sched: SchedState::default() }).expect("append");
+        journal.commit("sched").expect("commit");
+        let spent_us = journal.time_spent().as_micros() as u64;
+        let counted = metrics.write_us_total.get();
+        // The reopen, the append and the commit each truncate to whole
+        // microseconds on their own.
+        assert!(
+            counted <= spent_us && spent_us - counted <= 2,
+            "{counted} us counted vs {spent_us} us spent"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn apply_keeps_circles_sorted_and_partial_lists_exact() {
+        let mut state = ResumeState::default();
+        for (uid, incoming) in [(9, true), (2, false), (9, false), (2, true)] {
+            state.apply(JournalRecord::CirclesCommitted {
+                uid: UserId(uid),
+                incoming,
+                members: None,
+            });
+        }
+        state.apply(JournalRecord::CirclesCommitted {
+            uid: UserId(9),
+            incoming: false,
+            members: Some(vec![UserId(1)]),
+        });
+        let keys: Vec<(u64, bool)> = state.circles.iter().map(|c| (c.uid.0, c.incoming)).collect();
+        assert_eq!(keys, [(2, false), (2, true), (9, false), (9, true)]);
+        assert_eq!(state.circles_of(UserId(9), false), Some(&Some(vec![UserId(1)])));
+        assert_eq!(state.circles_of(UserId(3), false), None);
+        let friends = |partial| JournalRecord::FriendsCommitted {
+            uid: UserId(4),
+            friends: Some(vec![]),
+            partial,
+            gen: None,
+        };
+        state.apply(friends(true));
+        assert!(state.incomplete.contains(&UserId(4)));
+        state.apply(friends(false));
+        assert!(state.incomplete.is_empty(), "a whole list replaces a partial one");
     }
 }
 
@@ -1411,8 +1449,8 @@ mod framing_proptests {
                     state.profiles.insert(UserId(p), profile);
                     state.friends.insert(UserId(f), friends);
                     state.friends_gen.insert(UserId(f), gen);
-                    state.incomplete.push(UserId(f));
-                    state.tombstoned.push(UserId(p));
+                    state.incomplete.insert(UserId(f));
+                    state.tombstoned.insert(UserId(p));
                     state.circles.push(CirclesEntry {
                         uid: UserId(f),
                         incoming: gen % 2 == 0,
@@ -1453,18 +1491,6 @@ mod framing_proptests {
             arb_lane().prop_map(|lane| JournalRecord::Lane { lane }),
             arb_sched().prop_map(|sched| JournalRecord::Sched { sched }),
             "[a-z_]{1,12}".prop_map(|op| JournalRecord::Commit { op }),
-            proptest::collection::vec(arb_lane(), 0..3)
-                .prop_map(|lanes| JournalRecord::Lanes { lanes }),
-            any::<u64>().prop_map(|u| JournalRecord::LaneRecruited {
-                index: u % 8,
-                username: format!("w-r{}", u % 8)
-            }),
-            (any::<u64>(), any::<bool>())
-                .prop_map(|(u, accepted)| JournalRecord::MessageSent { uid: UserId(u), accepted }),
-            any::<u64>().prop_map(|u| JournalRecord::LaneSuspended {
-                index: u % 8,
-                username: format!("w-{}", u % 8)
-            }),
         ]
     }
 
@@ -1487,7 +1513,8 @@ mod framing_proptests {
     fn encode_log(records: &[JournalRecord]) -> Vec<u8> {
         let dir = std::env::temp_dir().join("hsp-journal-proptest");
         std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join(format!("prop-{:x}.wal", fnv1a(format!("{records:?}").as_bytes())));
+        let name = fnv1a_chain(FNV_OFFSET, format!("{records:?}").as_bytes());
+        let path = dir.join(format!("prop-{name:x}.wal"));
         let mut journal = Journal::create(&path).expect("create");
         for r in records {
             match r {
@@ -1520,6 +1547,16 @@ mod framing_proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn crc_of_is_the_crc_of_seq_then_payload(
+            seq in any::<u64>(),
+            payload in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut framed = seq.to_le_bytes().to_vec();
+            framed.extend_from_slice(&payload);
+            prop_assert_eq!(crc_of(seq, &payload), crc32(&framed));
+        }
 
         #[test]
         fn round_trip_arbitrary_logs(records in arb_log()) {
@@ -1572,7 +1609,7 @@ mod framing_proptests {
         let records = vec![
             JournalRecord::SeedsCollected { school: SchoolId(1), seeds: vec![UserId(3)] },
             JournalRecord::Commit { op: "seeds".into() },
-            JournalRecord::MessageSent { uid: UserId(4), accepted: true },
+            JournalRecord::Sched { sched: SchedState { rr: 4, ..SchedState::default() } },
             JournalRecord::Commit { op: "msg".into() },
         ];
         let buf = encode_log(&records);

@@ -13,8 +13,9 @@
 //! a deterministic scheduler that shards work over the seats (results
 //! are bit-identical at any worker count; the paper's crawl is
 //! `workers = 1`). It is generic over the HTTP transport, so identical
-//! attack code runs over loopback TCP or in-process, and it journals
-//! its state for crash-only resume ([`journal`]).
+//! attack code runs over loopback TCP or in-process. Its one crawl
+//! state is the committed [`ResumeState`], which its journal persists
+//! for crash-only resume ([`journal`]).
 
 pub mod driver;
 pub mod effort;

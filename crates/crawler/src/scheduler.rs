@@ -14,11 +14,16 @@
 //! therefore only decides which thread happens to drive an account; it
 //! never changes any account's ordered request sequence, which is the
 //! unit the platform's fault engine, sybil detector and mutation engine
-//! key their streams on. Results are committed to the caches in
-//! canonical (UserId-sorted) order after the batch joins, so Table
-//! 3/Table 4 outputs and [`CrawlSnapshot`] checkpoints are
-//! **bit-identical at any worker count** — including under
-//! `FaultPlan::chaos()`.
+//! key their streams on. Results are committed in canonical
+//! (UserId-sorted) order after the batch joins, so Table 3/Table 4
+//! outputs and [`CrawlSnapshot`] checkpoints are **bit-identical at any
+//! worker count** — including under `FaultPlan::chaos()`.
+//!
+//! The crawler keeps one crawl state, its committed [`ResumeState`].
+//! Each operation that fetched something builds its [`JournalRecord`]s,
+//! journals them when a journal is attached, and applies them with
+//! [`ResumeState::apply`] — the transition recovery folds a journal
+//! with — so a crawler equals the fold of its own journal.
 //!
 //! Every request carries its seat's clock in `x-virtual-now-ms`: that
 //! stamp is the one timeline of the crawl. The platform serves a live
@@ -45,8 +50,8 @@ use crate::driver::{
 };
 use crate::effort::Effort;
 use crate::journal::{
-    BreakerState, CirclesEntry, Journal, JournalError, JournalRecord, LaneState, PacingState,
-    ResumeState, RetryStatsState, SchedState, TransportJournalState,
+    BreakerState, Journal, JournalError, JournalRecord, LaneState, PacingState, ResumeState,
+    RetryStatsState, SchedState, TransportJournalState,
 };
 use crate::scrape::{parse_listing, parse_listing_stamped, parse_profile, ScrapedProfile};
 use crate::snapshot::CrawlSnapshot;
@@ -58,7 +63,7 @@ use hsp_http::resilient::{
 use hsp_http::{Exchange, HttpError, Request, Response, Status};
 use hsp_obs::trace::TRACE_SEED;
 use hsp_obs::{FlightRecorder, Gauge, Histogram, Registry, TraceCtx, VirtualClock};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -725,6 +730,23 @@ fn effort_requests(e: &Effort) -> u64 {
         + e.decoy_requests
 }
 
+/// A profile batch's results as `ProfileCommitted` records in canonical
+/// (UserId-sorted) order, regardless of which account fetched what.
+fn profile_records(done: Vec<(Job, JobOut)>) -> Vec<JournalRecord> {
+    let mut results: Vec<(UserId, ScrapedProfile)> = done
+        .into_iter()
+        .map(|(job, out)| match (job, out) {
+            (Job::Profile(uid), JobOut::Profile(p)) => (uid, p),
+            _ => unreachable!("profile batch produced non-profile output"),
+        })
+        .collect();
+    results.sort_by_key(|&(uid, _)| uid);
+    results
+        .into_iter()
+        .map(|(uid, profile)| JournalRecord::ProfileCommitted { uid, profile })
+        .collect()
+}
+
 /// Staged construction for a [`ParallelCrawler`].
 pub struct ParallelCrawlerBuilder<E: Exchange + Send> {
     label: String,
@@ -811,9 +833,9 @@ impl<E: Exchange + Send> ParallelCrawlerBuilder<E> {
     }
 
     /// Journal every committed crawl operation to a durable append-only
-    /// log (see [`crate::journal`]). Each `OsnAccess` op that mutates
-    /// the caches seals one group-committed record batch; a process
-    /// killed at any byte boundary resumes bit-identically via
+    /// log (see [`crate::journal`]). Each `OsnAccess` op that commits
+    /// seals one group of the records it applies; a process killed at
+    /// any byte boundary resumes bit-identically via
     /// [`ParallelCrawlerBuilder::build_resumed`].
     pub fn journal(mut self, journal: Journal) -> Self {
         self.journal = Some(journal);
@@ -848,7 +870,6 @@ impl<E: Exchange + Send> ParallelCrawlerBuilder<E> {
 /// concurrency through the `prefetch_*` batch hints.
 pub struct ParallelCrawler<E: Exchange + Send> {
     accounts: Vec<Mutex<AccountWorker<E>>>,
-    label: String,
     workers: usize,
     shared: Shared,
     factory: Option<Box<dyn FnMut() -> AccountSeat<E>>>,
@@ -862,17 +883,9 @@ pub struct ParallelCrawler<E: Exchange + Send> {
     throttle_refusals_synced: AtomicU64,
     shed_refusals_synced: AtomicU64,
     sched_metrics: Option<SchedMetrics>,
-    seeds_cache: HashMap<SchoolId, Vec<UserId>>,
-    profile_cache: HashMap<UserId, ScrapedProfile>,
-    friends_cache: HashMap<UserId, Option<Vec<UserId>>>,
-    circles_cache: HashMap<(UserId, bool), Option<Vec<UserId>>>,
-    incomplete: BTreeSet<UserId>,
-    /// Users served tombstone pages (live-world deactivations and
-    /// graduation rollovers), detected at commit time.
-    tombstoned: BTreeSet<UserId>,
-    /// Generation stamp each committed friend list was read at (live
-    /// worlds only) — the reconciliation side of the pair check.
-    friends_gen: HashMap<UserId, u64>,
+    /// The committed crawl state: everything sealed so far, changed only
+    /// by [`ResumeState::apply`] — exactly what the journal folds to.
+    state: ResumeState,
     /// Profile re-fetches issued by commit-time pair reconciliation
     /// (on top of the workers' own pagination-restart counts).
     stale_refetches: u64,
@@ -882,14 +895,6 @@ pub struct ParallelCrawler<E: Exchange + Send> {
     modeled_wall_ms: u64,
     /// Durable crawl journal (crash-only operation); `None` = volatile.
     journal: Option<Journal>,
-    /// Account indices whose suspension has already been journaled —
-    /// each group diffs against this to emit `LaneSuspended` once.
-    journal_suspended: BTreeSet<usize>,
-    /// Recruits since the last sealed group, drained into the next one.
-    pending_recruits: Vec<(u64, String)>,
-    /// Lane states as of the last sealed group: each group diffs
-    /// against this and journals only the lanes that moved.
-    journal_lanes: Vec<LaneState>,
 }
 
 /// Journal failures surface as crawl errors: `Killed` is the injected
@@ -929,9 +934,10 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         ParallelCrawler::builder(label).build(seats.collect())
     }
 
-    /// An empty crawler (no accounts yet) with the builder's settings.
+    /// A crawler with no accounts yet, the builder's settings, and
+    /// `state` as its committed state.
     fn from_builder(
-        label: String,
+        state: ResumeState,
         builder: ParallelCrawlerBuilder<E>,
         seats: usize,
     ) -> ParallelCrawler<E> {
@@ -944,7 +950,6 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         }
         ParallelCrawler {
             accounts: Vec::new(),
-            label,
             workers: builder.workers,
             shared: Shared {
                 politeness: builder.politeness,
@@ -955,7 +960,6 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
                 retry_stats: builder.retry_stats,
             },
             factory: builder.factory,
-            recruited: 0,
             max_accounts: builder.max_accounts,
             retries_synced: AtomicU64::new(0),
             edge_refusals_synced: AtomicU64::new(0),
@@ -963,20 +967,12 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             throttle_refusals_synced: AtomicU64::new(0),
             shed_refusals_synced: AtomicU64::new(0),
             sched_metrics,
-            seeds_cache: HashMap::new(),
-            profile_cache: HashMap::new(),
-            friends_cache: HashMap::new(),
-            circles_cache: HashMap::new(),
-            incomplete: BTreeSet::new(),
-            tombstoned: BTreeSet::new(),
-            friends_gen: HashMap::new(),
-            stale_refetches: 0,
-            rr: 0,
-            modeled_wall_ms: 0,
+            stale_refetches: state.sched.stale_refetches,
+            rr: state.sched.rr as usize,
+            modeled_wall_ms: state.sched.modeled_wall_ms,
+            recruited: state.sched.recruited as usize,
+            state,
             journal: builder.journal,
-            journal_suspended: BTreeSet::new(),
-            pending_recruits: Vec::new(),
-            journal_lanes: Vec::new(),
         }
     }
 
@@ -984,16 +980,18 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         seats: Vec<AccountSeat<E>>,
         builder: ParallelCrawlerBuilder<E>,
     ) -> Result<ParallelCrawler<E>, CrawlError> {
-        let label = builder.label.clone();
-        let mut crawler = Self::from_builder(label, builder, seats.len());
+        let state = ResumeState { label: builder.label.clone(), ..ResumeState::default() };
+        let mut crawler = Self::from_builder(state, builder, seats.len());
         for (i, seat) in seats.into_iter().enumerate() {
-            let username = format!("{}-{i}", crawler.label);
+            let username = format!("{}-{i}", crawler.state.label);
             crawler.enroll(seat, username)?;
         }
         if crawler.accounts.is_empty() {
             return Err(CrawlError::BadPage("no accounts"));
         }
         crawler.sync_retry_metric();
+        crawler.state.lanes = crawler.lane_states();
+        crawler.state.sched = crawler.sched_state();
         crawler.write_base_group()?;
         Ok(crawler)
     }
@@ -1013,28 +1011,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         }
         // The journaled label wins: recruit usernames ("{label}-rN")
         // must keep matching the original run's.
-        let mut crawler = Self::from_builder(state.label.clone(), builder, seats.len());
-        crawler.recruited = state.sched.recruited as usize;
-        crawler.incomplete = state.incomplete.iter().copied().collect();
-        crawler.tombstoned = state.tombstoned.iter().copied().collect();
-        crawler.stale_refetches = state.sched.stale_refetches;
-        crawler.rr = state.sched.rr as usize;
-        crawler.modeled_wall_ms = state.sched.modeled_wall_ms;
-        for (&school, seeds) in &state.seeds {
-            crawler.seeds_cache.insert(school, seeds.clone());
-        }
-        for (&uid, profile) in &state.profiles {
-            crawler.profile_cache.insert(uid, profile.clone());
-        }
-        for (&uid, friends) in &state.friends {
-            crawler.friends_cache.insert(uid, friends.clone());
-        }
-        for entry in &state.circles {
-            crawler.circles_cache.insert((entry.uid, entry.incoming), entry.members.clone());
-        }
-        for (&uid, &gen) in &state.friends_gen {
-            crawler.friends_gen.insert(uid, gen);
-        }
+        let mut crawler = Self::from_builder(state.clone(), builder, seats.len());
         // Transport retry ledger: restore the shared stats handle and
         // pre-load the synced cursors so metric deltas only count
         // post-resume activity (no double-billing on restart).
@@ -1047,7 +1024,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             crawler.throttle_refusals_synced = AtomicU64::new(journaled.throttled);
             crawler.shed_refusals_synced = AtomicU64::new(journaled.sheds);
         }
-        for (i, (seat, lane)) in seats.into_iter().zip(&state.lanes).enumerate() {
+        for (seat, lane) in seats.into_iter().zip(&state.lanes) {
             let mut worker = AccountWorker::new(seat.exchange, seat.clock, lane.username.clone());
             worker.exchange.restore_transport_state(&lane.transport.to_transport());
             if let Some(c) = &worker.clock {
@@ -1068,25 +1045,21 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             worker.trace_ordinal = lane.trace_ordinal;
             worker.pacing = lane.pacing;
             crawler.accounts.push(Mutex::new(worker));
-            if lane.suspended {
-                crawler.journal_suspended.insert(i);
-            }
         }
         crawler.write_base_group()?;
         Ok(crawler)
     }
 
-    /// Seal the initial `Base` group if a journal is attached and still
-    /// empty (a journal reopened via [`Journal::create_with_base`]
-    /// already carries one).
+    /// Seal the committed state as the initial `Base` group if a journal
+    /// is attached and still empty (a journal reopened via
+    /// [`Journal::create_with_base`] already carries one).
     fn write_base_group(&mut self) -> Result<(), CrawlError> {
-        match &self.journal {
-            Some(j) if j.records_written() == 0 => {}
-            _ => return Ok(()),
-        }
-        let state = self.resume_state();
-        let journal = self.journal.as_mut().expect("journal present");
-        journal.append(&JournalRecord::Base { state }).map_err(map_journal_err)?;
+        let Some(journal) = self.journal.as_mut().filter(|j| j.records_written() == 0) else {
+            return Ok(());
+        };
+        journal
+            .append(&JournalRecord::Base { state: self.state.clone() })
+            .map_err(map_journal_err)?;
         journal.commit("base").map_err(map_journal_err)
     }
 
@@ -1125,8 +1098,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
     }
 
     /// Snapshot every lane's full machine state (transport, clocks,
-    /// breakers, effort, trace cursor, pacing) for a journal commit
-    /// boundary.
+    /// breakers, effort, trace cursor, pacing) for a commit boundary.
     fn lane_states(&self) -> Vec<LaneState> {
         self.accounts
             .iter()
@@ -1169,106 +1141,42 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         }
     }
 
-    /// The crawler's complete durable state, foldable back into an
-    /// identical crawler by [`ParallelCrawlerBuilder::build_resumed`].
+    /// The crawler's committed state: what its journal folds to, and
+    /// what [`ParallelCrawlerBuilder::build_resumed`] rebuilds an
+    /// identical crawler from. An operation that failed before it
+    /// committed left nothing here.
     pub fn resume_state(&self) -> ResumeState {
-        let mut state = ResumeState { label: self.label.clone(), ..ResumeState::default() };
-        for (&school, seeds) in &self.seeds_cache {
-            state.seeds.insert(school, seeds.clone());
-        }
-        for (&uid, profile) in &self.profile_cache {
-            state.profiles.insert(uid, profile.clone());
-        }
-        for (&uid, friends) in &self.friends_cache {
-            state.friends.insert(uid, friends.clone());
-        }
-        let mut circles: Vec<CirclesEntry> = self
-            .circles_cache
-            .iter()
-            .map(|(&(uid, incoming), members)| CirclesEntry {
-                uid,
-                incoming,
-                members: members.clone(),
-            })
-            .collect();
-        circles.sort_by_key(|c| (c.uid, c.incoming));
-        state.circles = circles;
-        state.incomplete = self.incomplete.iter().copied().collect();
-        state.tombstoned = self.tombstoned.iter().copied().collect();
-        for (&uid, &gen) in &self.friends_gen {
-            state.friends_gen.insert(uid, gen);
-        }
-        state.lanes = self.lane_states();
-        state.sched = self.sched_state();
-        state
+        self.state.clone()
     }
 
-    /// Seal one journal group for a completed crawl op: the op's data
-    /// events, any lane recruits/suspensions since the previous group,
-    /// the full lane + scheduler machine state, then the `Commit`
-    /// record — flushed and fsynced as one write. No-op when the
-    /// crawler runs without a journal.
-    fn journal_group(
+    /// Commit one completed crawl op: its data `records`, then a `Lane`
+    /// upsert per lane that moved since the last commit (a new recruit
+    /// included), the scheduler state and the `Commit` seal. The group
+    /// is journaled in one write when a journal is attached, then
+    /// applied to the committed state by [`ResumeState::apply`].
+    fn commit(
         &mut self,
         op: &'static str,
-        events: Vec<JournalRecord>,
+        mut records: Vec<JournalRecord>,
     ) -> Result<(), CrawlError> {
-        if self.journal.is_none() {
-            return Ok(());
-        }
-        let mut newly_suspended = Vec::new();
-        for (i, a) in self.accounts.iter().enumerate() {
-            if self.journal_suspended.contains(&i) {
-                continue;
-            }
-            let worker = a.lock().expect("account lock");
-            if worker.suspended {
-                newly_suspended.push((i, worker.username.clone()));
+        for (i, lane) in self.lane_states().into_iter().enumerate() {
+            if self.state.lanes.get(i) != Some(&lane) {
+                records.push(JournalRecord::Lane { lane });
             }
         }
-        let lanes = self.lane_states();
-        let sched = self.sched_state();
-        let recruits = std::mem::take(&mut self.pending_recruits);
-        let journal = self.journal.as_mut().expect("journal present");
-        for event in &events {
-            journal.append(event).map_err(map_journal_err)?;
-        }
-        for (index, username) in recruits {
-            journal
-                .append(&JournalRecord::LaneRecruited { index, username })
-                .map_err(map_journal_err)?;
-        }
-        for (index, username) in &newly_suspended {
-            journal
-                .append(&JournalRecord::LaneSuspended {
-                    index: *index as u64,
-                    username: username.clone(),
-                })
-                .map_err(map_journal_err)?;
-        }
-        // Lane-state deltas: a full fleet snapshot only when the fleet
-        // changed shape (first group, recruit); otherwise just the
-        // lanes that moved since the last group — on a send-message
-        // group that's one lane, which is most of the journal's
-        // serialization volume. `fold_state` upserts deltas by index.
-        if self.journal_lanes.len() != lanes.len() {
-            journal
-                .append(&JournalRecord::Lanes { lanes: lanes.clone() })
-                .map_err(map_journal_err)?;
-        } else {
-            for (prev, lane) in self.journal_lanes.iter().zip(&lanes) {
-                if prev != lane {
-                    journal
-                        .append(&JournalRecord::Lane { lane: lane.clone() })
-                        .map_err(map_journal_err)?;
-                }
+        records.push(JournalRecord::Sched { sched: self.sched_state() });
+        if let Some(journal) = &mut self.journal {
+            for record in &records {
+                journal.append(record).map_err(map_journal_err)?;
             }
+            journal.commit(op).map_err(map_journal_err)?;
         }
-        journal.append(&JournalRecord::Sched { sched }).map_err(map_journal_err)?;
-        journal.commit(op).map_err(map_journal_err)?;
-        self.journal_lanes = lanes;
-        for (i, _) in newly_suspended {
-            self.journal_suspended.insert(i);
+        let tombstoned = self.state.tombstoned.len();
+        for record in records {
+            self.state.apply(record);
+        }
+        if let Some(m) = &self.shared.metrics {
+            m.tombstones.add((self.state.tombstoned.len() - tombstoned) as u64);
         }
         Ok(())
     }
@@ -1330,16 +1238,12 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         let mut result = Ok(());
         while self.accounts.len() < target {
             let seat = factory();
-            let username = format!("{}-r{}", self.label, self.recruited);
+            let username = format!("{}-r{}", self.state.label, self.recruited);
             self.recruited += 1;
-            match self.enroll(seat, username.clone()) {
+            match self.enroll(seat, username) {
                 Ok(()) => {
                     if let Some(m) = &self.shared.metrics {
                         m.accounts_recruited.inc();
-                    }
-                    if self.journal.is_some() {
-                        let index = (self.accounts.len() - 1) as u64;
-                        self.pending_recruits.push((index, username));
                     }
                 }
                 Err(e) => {
@@ -1480,17 +1384,6 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         Ok(done)
     }
 
-    /// Commit one fetched profile to the cache, detecting tombstones
-    /// (once per user) on the way.
-    fn commit_profile(&mut self, uid: UserId, profile: ScrapedProfile) {
-        if profile.tombstoned && self.tombstoned.insert(uid) {
-            if let Some(m) = &self.shared.metrics {
-                m.tombstones.inc();
-            }
-        }
-        self.profile_cache.insert(uid, profile);
-    }
-
     fn total_effort(&self) -> Effort {
         let mut total = Effort::default();
         for account in &self.accounts {
@@ -1506,7 +1399,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             total.stale_refetch_requests += e.stale_refetch_requests;
         }
         total.stale_refetch_requests += self.stale_refetches;
-        total.tombstones = self.tombstoned.len() as u64;
+        total.tombstones = self.state.tombstoned.len() as u64;
         if let Some(stats) = &self.shared.retry_stats {
             total.retry_requests = stats.retries();
         }
@@ -1516,7 +1409,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
 
 impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
     fn collect_seeds(&mut self, school: SchoolId) -> Result<Vec<UserId>, CrawlError> {
-        if let Some(seeds) = self.seeds_cache.get(&school) {
+        if let Some(seeds) = self.state.seeds.get(&school) {
             return Ok(seeds.clone());
         }
         // One seed sweep per live account, concurrently: each account
@@ -1537,8 +1430,7 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
             .collect();
         seen.sort_unstable();
         seen.dedup();
-        self.seeds_cache.insert(school, seen.clone());
-        self.journal_group(
+        self.commit(
             "collect_seeds",
             vec![JournalRecord::SeedsCollected { school, seeds: seen.clone() }],
         )?;
@@ -1547,7 +1439,7 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
 
     fn prefetch_profiles(&mut self, uids: &[UserId]) -> Result<(), CrawlError> {
         let mut todo: Vec<UserId> =
-            uids.iter().copied().filter(|u| !self.profile_cache.contains_key(u)).collect();
+            uids.iter().copied().filter(|u| !self.state.profiles.contains_key(u)).collect();
         todo.sort_unstable();
         todo.dedup();
         if todo.is_empty() {
@@ -1557,33 +1449,14 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
             m.cache_profile_misses.add(todo.len() as u64);
         }
         let done = self.run_sharded(todo.into_iter().map(Job::Profile).collect())?;
-        // Canonical commit order: UserId-sorted, regardless of which
-        // account/thread fetched what.
-        let mut results: Vec<(UserId, ScrapedProfile)> = done
-            .into_iter()
-            .map(|(job, out)| match (job, out) {
-                (Job::Profile(uid), JobOut::Profile(p)) => (uid, p),
-                _ => unreachable!("profile batch produced non-profile output"),
-            })
-            .collect();
-        results.sort_by_key(|&(uid, _)| uid);
-        let journaling = self.journal.is_some();
-        let mut events = Vec::new();
-        for (uid, profile) in results {
-            if journaling {
-                events.push(JournalRecord::ProfileCommitted { uid, profile: profile.clone() });
-            }
-            self.commit_profile(uid, profile);
-        }
-        self.journal_group("prefetch_profiles", events)?;
-        Ok(())
+        self.commit("prefetch_profiles", profile_records(done))
     }
 
     fn prefetch_friends(&mut self, uids: &[UserId]) -> Result<(), CrawlError> {
         // (uid, friend list, partial?, world-generation stamp)
         type FriendsFetch = (UserId, Option<Vec<UserId>>, bool, Option<u64>);
         let mut todo: Vec<UserId> =
-            uids.iter().copied().filter(|u| !self.friends_cache.contains_key(u)).collect();
+            uids.iter().copied().filter(|u| !self.state.friends.contains_key(u)).collect();
         todo.sort_unstable();
         todo.dedup();
         if todo.is_empty() {
@@ -1608,32 +1481,19 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
         // mutated between the two fetches. Reconcile with one bounded
         // profile re-fetch round (canonical order — deterministic at
         // any worker count).
-        let journaling = self.journal.is_some();
-        let mut events = Vec::new();
+        let mut records = Vec::with_capacity(results.len());
         let mut conflicted: Vec<UserId> = Vec::new();
-        for (uid, list, partial, gen) in results {
+        for (uid, friends, partial, gen) in results {
             if partial {
-                self.incomplete.insert(uid);
                 if let Some(m) = &self.shared.metrics {
                     m.partial_friend_lists.inc();
                 }
             }
-            if let Some(lg) = gen {
-                self.friends_gen.insert(uid, lg);
-                let profile_gen = self.profile_cache.get(&uid).and_then(|p| p.generation);
-                if profile_gen.is_some_and(|pg| pg != lg) {
-                    conflicted.push(uid);
-                }
+            let profile_gen = self.state.profiles.get(&uid).and_then(|p| p.generation);
+            if gen.is_some_and(|lg| profile_gen.is_some_and(|pg| pg != lg)) {
+                conflicted.push(uid);
             }
-            if journaling {
-                events.push(JournalRecord::FriendsCommitted {
-                    uid,
-                    friends: list.clone(),
-                    partial,
-                    gen,
-                });
-            }
-            self.friends_cache.insert(uid, list);
+            records.push(JournalRecord::FriendsCommitted { uid, friends, partial, gen });
         }
         if !conflicted.is_empty() {
             self.stale_refetches += conflicted.len() as u64;
@@ -1641,27 +1501,13 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
                 m.stale_refetches.add(conflicted.len() as u64);
             }
             let done = self.run_sharded(conflicted.into_iter().map(Job::Profile).collect())?;
-            let mut refreshed: Vec<(UserId, ScrapedProfile)> = done
-                .into_iter()
-                .map(|(job, out)| match (job, out) {
-                    (Job::Profile(uid), JobOut::Profile(p)) => (uid, p),
-                    _ => unreachable!("reconcile batch produced non-profile output"),
-                })
-                .collect();
-            refreshed.sort_by_key(|&(uid, _)| uid);
-            for (uid, profile) in refreshed {
-                if journaling {
-                    events.push(JournalRecord::ProfileCommitted { uid, profile: profile.clone() });
-                }
-                self.commit_profile(uid, profile);
-            }
+            records.extend(profile_records(done));
         }
-        self.journal_group("prefetch_friends", events)?;
-        Ok(())
+        self.commit("prefetch_friends", records)
     }
 
     fn profile(&mut self, uid: UserId) -> Result<ScrapedProfile, CrawlError> {
-        if let Some(p) = self.profile_cache.get(&uid) {
+        if let Some(p) = self.state.profiles.get(&uid) {
             if let Some(m) = &self.shared.metrics {
                 m.cache_profile_hits.inc();
             }
@@ -1670,22 +1516,22 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
         // Not prefetched: run a one-item batch through the same
         // machinery (failover and recruitment included).
         self.prefetch_profiles(&[uid])?;
-        self.profile_cache.get(&uid).cloned().ok_or(CrawlError::BadPage("profile not fetched"))
+        self.state.profiles.get(&uid).cloned().ok_or(CrawlError::BadPage("profile not fetched"))
     }
 
     fn friends(&mut self, uid: UserId) -> Result<Option<Vec<UserId>>, CrawlError> {
-        if let Some(f) = self.friends_cache.get(&uid) {
+        if let Some(f) = self.state.friends.get(&uid) {
             if let Some(m) = &self.shared.metrics {
                 m.cache_friends_hits.inc();
             }
             return Ok(f.clone());
         }
         self.prefetch_friends(&[uid])?;
-        self.friends_cache.get(&uid).cloned().ok_or(CrawlError::BadPage("friends not fetched"))
+        self.state.friends.get(&uid).cloned().ok_or(CrawlError::BadPage("friends not fetched"))
     }
 
     fn circles(&mut self, uid: UserId, incoming: bool) -> Result<Option<Vec<UserId>>, CrawlError> {
-        if let Some(c) = self.circles_cache.get(&(uid, incoming)) {
+        if let Some(c) = self.state.circles_of(uid, incoming) {
             if let Some(m) = &self.shared.metrics {
                 m.cache_circles_hits.inc();
             }
@@ -1695,26 +1541,18 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
             m.cache_circles_misses.inc();
         }
         let done = self.run_sharded(vec![Job::Circles(uid, incoming)])?;
-        let journaling = self.journal.is_some();
-        let mut events = Vec::new();
-        for (job, out) in done {
-            match (job, out) {
-                (Job::Circles(u, inc), JobOut::Circles(list)) => {
-                    if journaling {
-                        events.push(JournalRecord::CirclesCommitted {
-                            uid: u,
-                            incoming: inc,
-                            members: list.clone(),
-                        });
-                    }
-                    self.circles_cache.insert((u, inc), list);
+        let records = done
+            .into_iter()
+            .map(|(job, out)| match (job, out) {
+                (Job::Circles(uid, incoming), JobOut::Circles(members)) => {
+                    JournalRecord::CirclesCommitted { uid, incoming, members }
                 }
                 _ => unreachable!("circles batch produced non-circles output"),
-            }
-        }
-        self.journal_group("circles", events)?;
-        self.circles_cache
-            .get(&(uid, incoming))
+            })
+            .collect();
+        self.commit("circles", records)?;
+        self.state
+            .circles_of(uid, incoming)
             .cloned()
             .ok_or(CrawlError::BadPage("circles not fetched"))
     }
@@ -1770,8 +1608,8 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
         if matches!(outcome, Err(CrawlError::Denied(Status::TOO_MANY_REQUESTS))) {
             self.recruit()?;
         }
-        if let Ok(accepted) = outcome {
-            self.journal_group("send_message", vec![JournalRecord::MessageSent { uid, accepted }])?;
+        if outcome.is_ok() {
+            self.commit("send_message", Vec::new())?;
         }
         outcome
     }
@@ -1782,28 +1620,28 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
     }
 
     fn incomplete_friends(&self) -> Vec<UserId> {
-        self.incomplete.iter().copied().collect()
+        self.state.incomplete.iter().copied().collect()
     }
 
     fn tombstoned_users(&self) -> Vec<UserId> {
-        self.tombstoned.iter().copied().collect()
+        self.state.tombstoned.iter().copied().collect()
     }
 
     fn checkpoint(&self) -> CrawlSnapshot {
-        let mut snap = CrawlSnapshot::default();
-        for (&school, seeds) in &self.seeds_cache {
-            snap.seeds.insert(school, seeds.clone());
+        let friends = self
+            .state
+            .friends
+            .iter()
+            .filter(|(uid, _)| !self.state.incomplete.contains(uid))
+            .map(|(&uid, friends)| (uid, friends.clone()))
+            .collect();
+        CrawlSnapshot {
+            seeds: self.state.seeds.clone(),
+            profiles: self.state.profiles.clone(),
+            friends,
+            effort: self.effort(),
+            aborted_at: None,
         }
-        for (&uid, profile) in &self.profile_cache {
-            snap.profiles.insert(uid, profile.clone());
-        }
-        for (&uid, friends) in &self.friends_cache {
-            if !self.incomplete.contains(&uid) {
-                snap.friends.insert(uid, friends.clone());
-            }
-        }
-        snap.effort = self.effort();
-        snap
     }
 
     /// The modeled makespan at `workers` lanes: per-batch greedy

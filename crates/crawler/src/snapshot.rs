@@ -1,18 +1,22 @@
-//! Crawl snapshots: persist everything a crawl fetched and replay it
-//! offline.
+//! Crawl snapshots: the analysis-side view of everything a crawl
+//! fetched, replayed offline.
 //!
 //! The paper's pipeline stored scraped pages in an SQL database and ran
-//! the analysis offline (§3.2). [`CrawlSnapshot`] is the equivalent: a
-//! serializable record of seeds, profiles and friend lists, and
+//! the analysis offline (§3.2). [`CrawlSnapshot`] is the equivalent: the
+//! seeds, profiles and complete friend lists of a crawl plus its effort
+//! ([`OsnAccess::checkpoint`], [`CrawlSnapshot::capture`]), and
 //! [`SnapshotAccess`] replays it through the same [`OsnAccess`]
 //! interface the live crawler implements — so any methodology run can
-//! be reproduced without the platform (or shipped to the bench harness
-//! without re-crawling).
+//! be reproduced without the platform. The crawl journal
+//! ([`crate::journal`]) is the attacker's only on-disk format; a
+//! snapshot's JSON form ([`CrawlSnapshot::to_json`]) is an export, and
+//! [`CrawlSnapshot::from_json`] validates it as input.
 
 use crate::driver::{CrawlError, OsnAccess};
 use crate::effort::Effort;
 use crate::scrape::ScrapedProfile;
 use hsp_graph::{SchoolId, UserId};
+use hsp_obs::trace::{fnv1a_chain, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -59,32 +63,6 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
-
-/// FNV-1a over a byte string — the same digest primitive the trace
-/// subsystem uses, kept dependency-free.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Write `text` to `path` atomically: `<path>.tmp` + fsync + rename.
-/// A crash at any point leaves either the old file or the new one,
-/// never a torn hybrid.
-pub(crate) fn atomic_write(path: &std::path::Path, text: &str) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp_name);
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(text.as_bytes())?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)
-}
 
 /// Everything one crawl saw, in stable (BTree) order.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -159,7 +137,7 @@ impl CrawlSnapshot {
             serde_json::to_value(self).map_err(|e| SnapshotError::Serialize(e.to_string()))?;
         let payload_digest = {
             let payload = value.render_compact();
-            format!("{:016x}", fnv1a(payload.as_bytes()))
+            format!("{:016x}", fnv1a_chain(FNV_OFFSET, payload.as_bytes()))
         };
         let obj = value
             .as_object_mut()
@@ -194,27 +172,13 @@ impl CrawlSnapshot {
                 .as_str()
                 .ok_or_else(|| SnapshotError::Parse("snapshot `digest` is not a string".into()))?
                 .to_string();
-            let found = format!("{:016x}", fnv1a(value.render_compact().as_bytes()));
+            let found =
+                format!("{:016x}", fnv1a_chain(FNV_OFFSET, value.render_compact().as_bytes()));
             if found != expected {
                 return Err(SnapshotError::DigestMismatch { found, expected });
             }
         }
         serde_json::from_value(value).map_err(|e| SnapshotError::Parse(e.to_string()))
-    }
-
-    /// Save to a file atomically (`<path>.tmp` + fsync + rename): a
-    /// crash mid-save can never leave a torn snapshot behind.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let text = self
-            .to_json()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        atomic_write(path, &text)
-    }
-
-    /// Load from a file.
-    pub fn load(path: &std::path::Path) -> std::io::Result<CrawlSnapshot> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_json(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -335,30 +299,6 @@ mod tests {
         obj.remove("digest");
         let restored = CrawlSnapshot::from_json(&value.render_compact()).unwrap();
         assert_eq!(restored, snapshot());
-    }
-
-    #[test]
-    fn save_leaves_no_tmp_file_behind() {
-        let snap = snapshot();
-        let dir = std::env::temp_dir().join("hsp-snapshot-atomic-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
-        snap.save(&path).unwrap();
-        assert!(path.exists());
-        assert!(!dir.join("snap.json.tmp").exists(), "tmp file not renamed away");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let snap = snapshot();
-        let dir = std::env::temp_dir().join("hsp-snapshot-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
-        snap.save(&path).unwrap();
-        let restored = CrawlSnapshot::load(&path).unwrap();
-        assert_eq!(restored, snap);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

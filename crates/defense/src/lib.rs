@@ -45,6 +45,7 @@
 
 use hsp_http::resilient::H_VIRTUAL_NOW;
 use hsp_http::{request_cookie, Request};
+use hsp_obs::trace::{fnv1a_chain, FNV_OFFSET};
 use hsp_obs::{Counter, Registry};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -249,17 +250,10 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
+/// FNV-1a of `h ‖ v` (little-endian) from the offset basis — not a
+/// chain from `h`.
 fn fnv1a_u64(h: u64, v: u64) -> u64 {
-    fnv1a(&[h.to_le_bytes(), v.to_le_bytes()].concat())
+    fnv1a_chain(fnv1a_chain(FNV_OFFSET, &h.to_le_bytes()), &v.to_le_bytes())
 }
 
 /// Principal key of an observed request: the account index baked into
@@ -332,7 +326,7 @@ impl SessionState {
             RouteClass::Profile => {
                 self.profiles += 1;
                 let path = target.split('?').next().unwrap_or(target);
-                self.distinct_profiles.insert(fnv1a(path.as_bytes()));
+                self.distinct_profiles.insert(fnv1a_chain(FNV_OFFSET, path.as_bytes()));
             }
             RouteClass::FriendList => self.friend_lists += 1,
             RouteClass::Message => self.messages += 1,
@@ -630,7 +624,7 @@ impl SybilDetector {
     /// state, not of map insertion order.
     pub fn state_digest(&self) -> u64 {
         let sessions = self.sessions.lock();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_OFFSET;
         for (key, state) in sessions.iter() {
             h = fnv1a_u64(h, *key);
             h = state.digest_into(h);

@@ -20,13 +20,14 @@
 //! gets byte-identical responses and bills nothing twice.
 
 use crate::runner::{attack_phases, Lab};
-use hsp_core::evaluate;
+use hsp_core::{evaluate, Discovery, EvalPoint};
 use hsp_crawler::{
     fold_state, recover_instrumented, AccountSeat, AdaptiveStrategy, CrawlError, Effort, Journal,
     JournalMetrics, KillPlan, OsnAccess, ParallelCrawler, ResumeState, LANE_RECOVERY,
 };
 use hsp_graph::UserId;
 use hsp_http::{DirectExchange, Handler, ResilientExchange, RetryPolicy, RetryStats};
+use hsp_obs::trace::{fnv1a_chain, FNV_OFFSET};
 use hsp_obs::{FlightRecorder, SpanRecord, VirtualClock};
 use hsp_platform::{FaultPlan, PlatformConfig};
 use hsp_synth::ScenarioConfig;
@@ -105,11 +106,20 @@ pub struct KillTrial {
     pub outcome: CrashOutcome,
 }
 
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
+/// FNV-1a over one attack's Table-2/Table-4 outputs: the seed, core
+/// and candidate counts, the exact ranked guess list, the eval triple.
+pub fn outcome_digest(discovery: &Discovery, guessed: &[UserId], eval: &EvalPoint) -> u64 {
+    let head = [
+        discovery.seeds.len() as u64,
+        discovery.core.len() as u64,
+        discovery.candidate_count() as u64,
+        guessed.len() as u64,
+    ];
+    let tail = [eval.found as u64, eval.correct_year as u64, eval.guessed as u64];
+    head.into_iter()
+        .chain(guessed.iter().map(|u| u.0))
+        .chain(tail)
+        .fold(FNV_OFFSET, |h, v| fnv1a_chain(h, &v.to_le_bytes()))
 }
 
 fn make_seat(
@@ -205,18 +215,7 @@ fn drive(lab: &Lab, access: &mut dyn OsnAccess) -> Result<(u64, usize), CrawlErr
     let truth = lab.ground_truth();
     let guessed: Vec<UserId> = enhanced.guessed_students(t);
     let eval = evaluate(t, &guessed, |u| enhanced.inferred_year(u, &config), &truth);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    fnv(&mut h, discovery.seeds.len() as u64);
-    fnv(&mut h, discovery.core.len() as u64);
-    fnv(&mut h, discovery.candidate_count() as u64);
-    fnv(&mut h, guessed.len() as u64);
-    for &u in &guessed {
-        fnv(&mut h, u.0);
-    }
-    fnv(&mut h, eval.found as u64);
-    fnv(&mut h, eval.correct_year as u64);
-    fnv(&mut h, eval.guessed as u64);
-    Ok((h, eval.found))
+    Ok((outcome_digest(&discovery, &guessed, &eval), eval.found))
 }
 
 fn file_bytes(path: &Path) -> u64 {

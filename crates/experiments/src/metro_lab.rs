@@ -16,6 +16,7 @@ use hsp_core::{
 use hsp_crawler::{AccountSeat, OsnAccess, ParallelCrawler};
 use hsp_graph::{CityId, Network, SchoolId, UserId};
 use hsp_http::{DirectExchange, Handler, ResilientExchange, RetryPolicy, RetryStats};
+use hsp_obs::trace::{fnv1a_chain, FNV_OFFSET};
 use hsp_obs::{Registry, VirtualClock};
 use hsp_platform::{Platform, PlatformConfig};
 use hsp_policy::FacebookPolicy;
@@ -60,25 +61,19 @@ impl SchoolOutcome {
     /// the exact guessed set (in order) plus the scored counts. Equal
     /// digests ⇒ bit-identical per-school results.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        eat(self.school.0 as u64);
-        eat(self.guessed.len() as u64);
-        for &u in &self.guessed {
-            eat(u.0);
-        }
-        eat(self.eval.found as u64);
-        eat(self.eval.correct_year as u64);
-        eat(self.eval.guessed as u64);
-        eat(self.seeds as u64);
-        eat(self.core as u64);
-        eat(self.candidates as u64);
-        h
+        let head = [self.school.0 as u64, self.guessed.len() as u64];
+        let tail = [
+            self.eval.found as u64,
+            self.eval.correct_year as u64,
+            self.eval.guessed as u64,
+            self.seeds as u64,
+            self.core as u64,
+            self.candidates as u64,
+        ];
+        head.into_iter()
+            .chain(self.guessed.iter().map(|u| u.0))
+            .chain(tail)
+            .fold(FNV_OFFSET, |h, v| fnv1a_chain(h, &v.to_le_bytes()))
     }
 }
 

@@ -35,7 +35,7 @@ use crate::error::{HttpError, Result};
 use crate::message::{Request, Response};
 use crate::resilient::{is_edge_limited, is_shed, H_TRACE_ID};
 use crate::types::Method;
-use hsp_obs::trace::{SpanRecord, SLOT_CHAOS};
+use hsp_obs::trace::{fnv1a_chain, SpanRecord, FNV_OFFSET, SLOT_CHAOS};
 use hsp_obs::{FlightRecorder, TraceCtx, VirtualClock};
 use std::io::{ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -135,16 +135,8 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// FNV-1a over method + target + body: the POST fingerprint.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn fingerprint(req: &Request) -> u64 {
+    let fnv1a = |bytes: &[u8]| fnv1a_chain(FNV_OFFSET, bytes);
     let mut h = fnv1a(req.method.as_str().as_bytes());
     h ^= fnv1a(req.target.as_bytes()).rotate_left(17);
     h ^ fnv1a(&req.body).rotate_left(31)

@@ -1,6 +1,6 @@
 //! A shared virtual clock.
 //!
-//! The paper's crawlers "implement[ed] sleeping functions" and the real
+//! The paper's crawlers "implement\[ed\] sleeping functions" and the real
 //! Facebook throttled them in wall-clock time. We model both sides of
 //! that arms race against a *virtual* millisecond counter instead of
 //! real time, so chaos experiments are fast and bit-reproducible: the

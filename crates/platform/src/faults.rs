@@ -28,6 +28,7 @@ use hsp_http::resilient::{
     H_ATTEMPT_SEQ, H_FAULT_INJECTED, H_RETRY_AFTER, H_SIMULATED_FAULT, H_VIRTUAL_LATENCY_MS,
 };
 use hsp_http::{request_cookie, Request, Response, Status};
+use hsp_obs::trace::{fnv1a_chain, FNV_OFFSET};
 use hsp_obs::Registry;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -134,16 +135,6 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a, used to key pre-session (signup/login) traffic by username.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The fault stream a request draws from. Authenticated traffic is
 /// keyed by the account index baked into the `sid` cookie
 /// (`sid-{index}-…`), so every account has its own deterministic fault
@@ -182,13 +173,15 @@ fn principal_key(req: &Request) -> u64 {
         }
     }
     if let Some(user) = req.form_param("user") {
-        return 0x8000_0000_0000_0000 | fnv1a(user.as_bytes());
+        // Pre-session (signup/login) traffic is keyed by username.
+        return 0x8000_0000_0000_0000 | fnv1a_chain(FNV_OFFSET, user.as_bytes());
     }
     0
 }
 
 /// Rolls a [`FaultPlan`] against live traffic. One counter-based
-/// SplitMix64 stream per principal (see [`principal_key`]); each
+/// SplitMix64 stream per principal (the session's account index, or
+/// the username of pre-session traffic); each
 /// decision consumes the next value of the requester's stream, so the
 /// schedule an account experiences depends only on that account's own
 /// request order — never on how other accounts' requests interleave.

@@ -39,7 +39,7 @@ use crate::search::SearchIndex;
 use hsp_graph::{
     Date, Gender, Network, PrivacySettings, ProfileContent, Registration, Role, User, UserId,
 };
-use hsp_obs::trace::{SpanRecord, SLOT_MUTATION};
+use hsp_obs::trace::{fnv1a_chain, SpanRecord, FNV_OFFSET, SLOT_MUTATION};
 use hsp_obs::{Registry, TraceCtx, TRACE_SEED};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -249,15 +249,6 @@ fn stream_draw(seed: u64, key: u64, n: u64) -> u64 {
     splitmix64(seed ^ splitmix64(key) ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
-/// Fold `bytes` into an FNV-1a accumulator.
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 const KEY_SIGNUP: u64 = 1;
 const KEY_FRIEND: u64 = 2;
 const KEY_DEFRIEND: u64 = 3;
@@ -423,7 +414,7 @@ impl MutationEngine {
             state: Mutex::new(EngineState {
                 worlds: BTreeMap::new(),
                 applied_watermark: 0,
-                events_digest: 0xcbf2_9ce4_8422_2325,
+                events_digest: FNV_OFFSET,
                 serves: BTreeMap::new(),
             }),
             obs,
@@ -511,7 +502,7 @@ impl MutationEngine {
                 // First application ever: count, digest and trace it.
                 self.obs.counter_with("platform_mutations_total", &[("kind", ev.kind())]).inc();
                 st.events_digest =
-                    fnv_fold(st.events_digest, format!("{idx}|{at_ms}|{line}\n").as_bytes());
+                    fnv1a_chain(st.events_digest, format!("{idx}|{at_ms}|{line}\n").as_bytes());
                 let tracer = self.obs.tracer();
                 if tracer.is_enabled() {
                     let tc = TraceCtx::derive(TRACE_SEED, WORLD_LANE, idx as u64);
@@ -551,7 +542,7 @@ impl MutationEngine {
         let st = self.state.lock();
         let mut h = st.events_digest;
         for (g, c) in &st.serves {
-            h = fnv_fold(h, format!("serve|{g}|{c}\n").as_bytes());
+            h = fnv1a_chain(h, format!("serve|{g}|{c}\n").as_bytes());
         }
         h
     }

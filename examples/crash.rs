@@ -36,8 +36,8 @@ use hs_profiler::crawler::{
     ResumeState,
 };
 use hs_profiler::experiments::crash_lab::{
-    baseline_on, crash_lab, killed_and_resumed_on, CRASH_ACCOUNTS, CRASH_MAX_ACCOUNTS,
-    CRASH_SYNC_EVERY,
+    baseline_on, crash_lab, killed_and_resumed_on, outcome_digest, CRASH_ACCOUNTS,
+    CRASH_MAX_ACCOUNTS, CRASH_SYNC_EVERY,
 };
 use hs_profiler::experiments::Ctx;
 use hs_profiler::http::{Client, ResilientExchange, RetryPolicy, RetryStats};
@@ -54,13 +54,6 @@ const WORKERS: usize = 2;
 const CHURN: f64 = 1.0;
 
 type TcpExchange = ResilientExchange<Client>;
-
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
 
 // ---------------------------------------------------------------- child
 
@@ -160,9 +153,7 @@ fn child_crawler(
     (crawler, state, recovery_us)
 }
 
-/// Same reduction as the in-process harness: FNV over the Table-2/4
-/// outputs. Children are only ever compared against each other, so the
-/// exact folding just has to be deterministic and total.
+/// Same reduction as the in-process harness ([`outcome_digest`]).
 fn child_drive(
     scenario: &Scenario,
     access: &mut dyn OsnAccess,
@@ -182,18 +173,7 @@ fn child_drive(
     let truth = GroundTruth::from_scenario(scenario);
     let guessed = enhanced.guessed_students(t);
     let eval = evaluate(t, &guessed, |u| enhanced.inferred_year(u, &config), &truth);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    fnv(&mut h, discovery.seeds.len() as u64);
-    fnv(&mut h, discovery.core.len() as u64);
-    fnv(&mut h, discovery.candidate_count() as u64);
-    fnv(&mut h, guessed.len() as u64);
-    for &u in &guessed {
-        fnv(&mut h, u.0);
-    }
-    fnv(&mut h, eval.found as u64);
-    fnv(&mut h, eval.correct_year as u64);
-    fnv(&mut h, eval.guessed as u64);
-    Ok((h, eval.found))
+    Ok((outcome_digest(&discovery, &guessed, &eval), eval.found))
 }
 
 /// This process's user+system CPU seconds (`/proc/self/stat`), for

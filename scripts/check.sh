@@ -13,6 +13,9 @@ cargo fmt --all --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (workspace, deny warnings: no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
