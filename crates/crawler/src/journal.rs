@@ -160,9 +160,9 @@ impl From<std::io::Error> for JournalError {
 
 /// Deterministic crash injection: the process "dies" while flushing the
 /// group that contains lifetime record number `after_records` (1-based,
-/// counting a reopen's `Base` group). Bytes up to the end of that record's frame —
-/// or only `torn_bytes` of it, simulating a torn sector write — reach
-/// the file; the rest of the group is lost.
+/// counting a reopen's `Base` group). Bytes up to the end of that
+/// record's frame — or only `torn_bytes` of it, simulating a torn
+/// sector write — reach the file; the rest of the group is lost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KillPlan {
     pub after_records: u64,
@@ -435,7 +435,7 @@ impl ResumeState {
 
     /// The committed circles of `uid` in direction `incoming`, if fetched
     /// (`None` inside: hidden from strangers).
-    pub fn circles_of(&self, uid: UserId, incoming: bool) -> Option<&Option<Vec<UserId>>> {
+    pub(crate) fn circles_of(&self, uid: UserId, incoming: bool) -> Option<&Option<Vec<UserId>>> {
         self.circles_slot(uid, incoming).ok().map(|i| &self.circles[i].members)
     }
 
@@ -604,11 +604,11 @@ impl Journal {
 
     /// Group-commit batching: fdatasync only every `n`-th committed
     /// group (plus the first group of a file, [`Journal::sync`], and
-    /// drop). Commit *records* still seal
-    /// every group, so recovery semantics are unchanged; what widens is
-    /// the window of committed-but-not-yet-durable groups an actual
-    /// power cut could lose — which a resume tolerates by re-driving
-    /// that suffix through the replay-aware platform.
+    /// drop). Commit *records* still seal every group, so recovery
+    /// semantics are unchanged; what widens is the window of
+    /// committed-but-not-yet-durable groups an actual power cut could
+    /// lose — which a resume tolerates by re-driving that suffix
+    /// through the replay-aware platform.
     pub fn with_sync_every(mut self, n: u64) -> Journal {
         self.sync_every = n.max(1);
         self

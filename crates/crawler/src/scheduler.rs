@@ -1489,9 +1489,11 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
                     m.partial_friend_lists.inc();
                 }
             }
-            let profile_gen = self.state.profiles.get(&uid).and_then(|p| p.generation);
-            if gen.is_some_and(|lg| profile_gen.is_some_and(|pg| pg != lg)) {
-                conflicted.push(uid);
+            if let Some(lg) = gen {
+                let profile_gen = self.state.profiles.get(&uid).and_then(|p| p.generation);
+                if profile_gen.is_some_and(|pg| pg != lg) {
+                    conflicted.push(uid);
+                }
             }
             records.push(JournalRecord::FriendsCommitted { uid, friends, partial, gen });
         }

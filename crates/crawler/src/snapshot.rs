@@ -20,16 +20,14 @@ use hsp_obs::trace::{fnv1a_chain, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// On-disk snapshot format version. Bumped when the payload layout
+/// Snapshot JSON format version. Bumped when the payload layout
 /// changes incompatibly; [`CrawlSnapshot::from_json`] refuses anything
 /// else with a descriptive error instead of misparsing.
 pub const SNAPSHOT_VERSION: u64 = 1;
 
-/// Typed failures of snapshot (de)serialization — the crash-recovery
-/// path must distinguish "file is torn garbage" from "file is a valid
-/// snapshot of an incompatible version" from "payload was tampered
-/// with", so the old `expect("snapshot is serializable")` panic and
-/// stringly `serde_json::Error` are gone.
+/// Typed failures of snapshot (de)serialization, so input validation
+/// can tell "not a snapshot" from "a valid snapshot of an incompatible
+/// version" from "a payload that was tampered with".
 #[derive(Debug)]
 pub enum SnapshotError {
     /// The in-memory snapshot failed to serialize (should not happen;
@@ -40,7 +38,7 @@ pub enum SnapshotError {
     /// The envelope parsed but declares a different format version.
     VersionMismatch { found: u64, expected: u64 },
     /// The payload does not hash to the recorded FNV-1a digest: the
-    /// file was truncated, bit-flipped or hand-edited.
+    /// input was truncated, bit-flipped or hand-edited.
     DigestMismatch { found: String, expected: String },
 }
 
