@@ -530,7 +530,6 @@ impl JournalMetrics {
 /// The append side of the WAL.
 pub struct Journal {
     file: std::fs::File,
-    path: PathBuf,
     next_seq: u64,
     /// Group-commit buffer: encoded frames not yet flushed.
     pending: Vec<u8>,
@@ -557,7 +556,6 @@ impl Journal {
     pub fn create(path: &Path) -> Result<Journal, JournalError> {
         Ok(Journal {
             file: std::fs::File::create(path)?,
-            path: path.to_path_buf(),
             next_seq: 0,
             pending: Vec::new(),
             pending_records: Vec::new(),
@@ -588,7 +586,6 @@ impl Journal {
         journal.append(&JournalRecord::Base { state: state.clone() })?;
         journal.commit("base")?; // first group of a file is always fsynced
         std::fs::rename(&tmp, path)?;
-        journal.path = path.to_path_buf();
         journal.file = std::fs::OpenOptions::new().append(true).open(path)?;
         // Charge the whole reopen (including the rename) as write-path
         // time; append/commit above already accrued their share, so
