@@ -1838,6 +1838,185 @@ mod tests {
         run(4);
     }
 
+    /// A crawler rebuilt from its committed state over fresh seats and a
+    /// fresh registry restores every seat's lane state and the scheduler
+    /// state, and bills nothing twice. `resume_state()` cannot show a
+    /// dropped restore: it returns the committed state without reading
+    /// the seats, so this reads them.
+    #[test]
+    fn a_resumed_crawler_restores_every_seat_and_bills_nothing_twice() {
+        use hsp_http::{Handler, ResilientExchange, RetryPolicy};
+        type Seat<E> = fn(&Arc<dyn Handler>, u64, &Arc<RetryStats>) -> AccountSeat<E>;
+
+        fn check<E: Exchange + Send + 'static>(
+            seat: Seat<E>,
+            config: PlatformConfig,
+            adaptive: Option<AdaptiveStrategy>,
+        ) -> ResumeState {
+            let scenario = generate(&ScenarioConfig::tiny());
+            let platform = Platform::new(
+                Arc::new(scenario.network.clone()),
+                Arc::new(FacebookPolicy::new()),
+                config,
+            );
+            platform.obs.enable_tracing(1 << 12);
+            let handler = platform.into_handler();
+            let builder = |registry: &Registry, stats: &Arc<RetryStats>| {
+                let (handler, factory_stats) = (handler.clone(), Arc::clone(stats));
+                let mut next = 100;
+                let builder = ParallelCrawler::builder("resume")
+                    .observability(registry)
+                    .retry_stats(Arc::clone(stats))
+                    .recruit_with(
+                        move || {
+                            next += 1;
+                            seat(&handler, next, &factory_stats)
+                        },
+                        8,
+                    );
+                match adaptive {
+                    Some(strategy) => builder.adaptive(strategy),
+                    None => builder,
+                }
+            };
+            let stats = Arc::new(RetryStats::default());
+            let seats = (0..2).map(|n| seat(&handler, n, &stats)).collect();
+            let mut crawler = builder(&platform.obs, &stats).build(seats).expect("enrolled");
+            let seeds = crawler.collect_seeds(scenario.school).unwrap();
+            crawler.prefetch_profiles(&seeds).unwrap();
+            crawler.prefetch_friends(&seeds).unwrap();
+            let mut fof: Vec<UserId> = seeds
+                .iter()
+                .filter_map(|u| crawler.friends(*u).unwrap())
+                .flatten()
+                .take(60)
+                .collect();
+            fof.sort_unstable();
+            crawler.prefetch_profiles(&fof).unwrap();
+            crawler.prefetch_friends(&fof).unwrap();
+            for &u in seeds.iter().take(3) {
+                let _ = crawler.send_message(u, "hi");
+            }
+            let state = crawler.resume_state();
+            assert!(state.lanes.len() > 2, "a recruit joined");
+            assert!(state.lanes.iter().any(|l| l.suspended), "a seat was suspended");
+            assert!(state.lanes.iter().all(|l| l.trace_ordinal > 0), "every seat traced");
+            assert!(state.sched.rr > 0 && state.sched.recruited > 0);
+
+            let registry = Registry::new();
+            let fresh = Arc::new(RetryStats::default());
+            let seats = (0..state.lanes.len()).map(|n| seat(&handler, 50 + n as u64, &fresh));
+            let resumed =
+                builder(&registry, &fresh).build_resumed(&state, seats.collect()).expect("resumed");
+            assert_eq!(resumed.lane_states(), state.lanes, "a seat's state was not restored");
+            assert_eq!(resumed.sched_state(), state.sched, "the scheduler was not restored");
+            let _ = resumed.effort();
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("crawler_fetch_total{endpoint=\"retry\"}"), 0);
+            for (name, &n) in &snap.counters {
+                if name.starts_with("crawler_refusals_total") {
+                    assert_eq!(n, 0, "{name} billed again on resume");
+                }
+            }
+            state
+        }
+
+        fn clockless(
+            h: &Arc<dyn Handler>,
+            _: u64,
+            _: &Arc<RetryStats>,
+        ) -> AccountSeat<DirectExchange> {
+            AccountSeat { exchange: DirectExchange::new(h.clone()), clock: None }
+        }
+
+        /// Answers three of every 40 requests the way only a server's
+        /// edge or the sybil detector does (an edge 429, a throttle 429,
+        /// a shed 503), so the retry layer ledgers every refusal source.
+        struct Refusing {
+            inner: DirectExchange,
+            calls: u64,
+        }
+
+        impl Exchange for Refusing {
+            fn exchange(&mut self, req: Request) -> hsp_http::Result<Response> {
+                use hsp_http::resilient::{H_EDGE_LIMITED, H_RETRY_AFTER, H_THROTTLED};
+                self.calls += 1;
+                let (status, header) = match self.calls % 40 {
+                    10 => (Status::TOO_MANY_REQUESTS, H_EDGE_LIMITED),
+                    20 => (Status::TOO_MANY_REQUESTS, H_THROTTLED),
+                    30 => (Status::SERVICE_UNAVAILABLE, H_RETRY_AFTER),
+                    _ => return self.inner.exchange(req),
+                };
+                Ok(Response::error(status, "refused").header(header, "1"))
+            }
+
+            fn clear_session(&mut self) {
+                self.inner.clear_session();
+            }
+
+            fn transport_state(&self) -> hsp_http::TransportState {
+                self.inner.transport_state()
+            }
+
+            fn restore_transport_state(&mut self, state: &hsp_http::TransportState) {
+                self.inner.restore_transport_state(state);
+            }
+        }
+
+        fn resilient(
+            h: &Arc<dyn Handler>,
+            seed: u64,
+            stats: &Arc<RetryStats>,
+        ) -> AccountSeat<ResilientExchange<Refusing>> {
+            let clock = VirtualClock::shared();
+            let exchange = ResilientExchange::with_stats(
+                Refusing { inner: DirectExchange::new(h.clone()), calls: 0 },
+                RetryPolicy::seeded(seed),
+                Arc::clone(&clock),
+                Arc::clone(stats),
+            );
+            AccountSeat { exchange: exchange.with_attempt_seq(), clock: Some(clock) }
+        }
+
+        let suspension =
+            FaultPlan { enabled: true, suspend_account_after: vec![10], ..FaultPlan::default() };
+        let state = check(
+            clockless,
+            PlatformConfig { faults: suspension, ..PlatformConfig::default() },
+            None,
+        );
+        assert!(state.lanes.iter().all(|l| !l.transport.cookies.is_empty()));
+
+        let churn = hsp_synth::ChurnModel::from_scenario(&ScenarioConfig::tiny()).scaled(16.0);
+        let live = hsp_platform::MutationPlan {
+            enabled: true,
+            horizon_ms: 7_200_000,
+            signup_per_mille: churn.signup_per_mille,
+            friend_per_mille: churn.friend_per_mille,
+            defriend_per_mille: churn.defriend_per_mille,
+            privacy_flip_per_mille: churn.privacy_flip_per_mille,
+            deactivate_per_mille: churn.deactivate_per_mille,
+            ..hsp_platform::MutationPlan::default()
+        };
+        let state = check(
+            resilient,
+            PlatformConfig {
+                faults: FaultPlan { suspend_account_after: vec![10], ..FaultPlan::chaos() },
+                mutations: live,
+                ..PlatformConfig::default()
+            },
+            Some(AdaptiveStrategy::seeded(7)),
+        );
+        let lanes = &state.lanes;
+        assert!(lanes.iter().any(|l| !l.breakers.is_empty()));
+        assert!(lanes.iter().any(|l| l.pacing != PacingState::default()));
+        assert!(lanes.iter().all(|l| l.transport.attempt_seq > 0));
+        assert!(state.sched.stale_refetches > 0);
+        let stats = &state.sched.retry_stats;
+        let sources = [stats.edge_limited, stats.fault_rate_limited, stats.throttled, stats.sheds];
+        assert!(stats.retries > 0 && sources.iter().all(|&n| n > 0), "{stats:?}");
+    }
+
     #[test]
     fn observability_counts_fetches_caches_and_politeness() {
         let (platform, s) = tiny_platform(FaultPlan::default());
