@@ -11,7 +11,7 @@ use crate::snapshot::CrawlSnapshot;
 use hsp_graph::{SchoolId, UserId};
 use hsp_http::resilient::{captcha_delay_ms, refusal_provenance, retryable_transport_error};
 use hsp_http::{Exchange, HttpError, Request, Response, Status};
-use hsp_obs::trace::{fnv1a_chain, SpanRecord, FNV_OFFSET};
+use hsp_obs::trace::{fnv1a_chain, splitmix64, SpanRecord, FNV_OFFSET};
 use hsp_obs::{Counter, FlightRecorder, Registry, TraceCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -151,16 +151,6 @@ impl Default for Politeness {
     }
 }
 
-/// Counter-free splitmix64 (same mix the platform's seeded streams
-/// use): `stream(seed, lane, n)` is a pure function, so the adaptive
-/// schedule an account follows depends only on its own request order.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The adaptive attacker: evasion maneuvers against the platform's
 /// behavioral sybil detector (`hsp-defense`). Everything is drawn from
 /// a seeded per-account lane RNG, so an adaptive crawl is exactly as
@@ -213,7 +203,10 @@ impl AdaptiveStrategy {
         AdaptiveStrategy { seed, ..AdaptiveStrategy::default() }
     }
 
-    /// Sleep multiplier (per-mille) for account `lane`'s `n`-th request.
+    /// Sleep multiplier (per-mille) for account `lane`'s `n`-th request:
+    /// a counter-free splitmix64 draw, a pure function of `(seed, lane,
+    /// n)`, so the schedule an account follows depends only on its own
+    /// request order.
     pub(crate) fn jitter_pm(&self, lane: u64, n: u64) -> u64 {
         let draw =
             splitmix64(self.seed ^ splitmix64(1 + lane) ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15));

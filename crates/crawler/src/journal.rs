@@ -14,6 +14,11 @@
 //!   applies them with [`ResumeState::apply`] — the function
 //!   [`fold_state`] runs over a recovered log. A crawler therefore
 //!   equals the fold of its own journal by construction.
+//! - **One lane state**: a `Lane` record is the seat's own
+//!   [`LaneState`], which the seat keeps live; the scheduler keeps its
+//!   [`SchedState`] the same way. hsp-http's [`TransportState`] and
+//!   [`RetryStatsSnapshot`] are journaled as they are, so no type here
+//!   mirrors another crate's.
 //! - **Framing**: each record is `[u32 len][u64 seq][u32 crc][payload]`
 //!   (little-endian). The CRC covers the sequence number *and* the
 //!   payload, so a flipped byte anywhere in a frame — including its
@@ -45,6 +50,7 @@
 use crate::effort::Effort;
 use crate::scrape::ScrapedProfile;
 use hsp_graph::{SchoolId, UserId};
+use hsp_http::{RetryStatsSnapshot, TransportState};
 use hsp_obs::trace::{fnv1a_chain, FNV_OFFSET};
 use hsp_obs::{Counter, Histogram, Registry};
 use serde::{Deserialize, Serialize};
@@ -210,88 +216,8 @@ impl BreakerState {
     }
 }
 
-/// Serializable transport state (mirrors `hsp_http::TransportState`,
-/// which stays serde-free — hsp-http has no serde dependency).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct TransportJournalState {
-    pub cookies: Vec<(String, String)>,
-    pub attempt_seq: u64,
-    pub jitter_state: u64,
-}
-
-impl TransportJournalState {
-    pub fn from_transport(t: &hsp_http::TransportState) -> TransportJournalState {
-        TransportJournalState {
-            cookies: t.cookies.clone(),
-            attempt_seq: t.attempt_seq,
-            jitter_state: t.jitter_state,
-        }
-    }
-
-    pub fn to_transport(&self) -> hsp_http::TransportState {
-        hsp_http::TransportState {
-            cookies: self.cookies.clone(),
-            attempt_seq: self.attempt_seq,
-            jitter_state: self.jitter_state,
-        }
-    }
-}
-
-/// Serializable retry-stats counters (mirrors
-/// `hsp_http::RetryStatsSnapshot`).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct RetryStatsState {
-    pub retries: u64,
-    pub rate_limited: u64,
-    pub server_errors: u64,
-    pub sheds: u64,
-    pub resets: u64,
-    pub deadlines_exceeded: u64,
-    pub backoff_virtual_ms: u64,
-    pub edge_limited: u64,
-    pub fault_rate_limited: u64,
-    pub throttled: u64,
-    pub stale_refetches: u64,
-    pub tombstones: u64,
-}
-
-impl RetryStatsState {
-    pub fn from_stats(s: &hsp_http::RetryStatsSnapshot) -> RetryStatsState {
-        RetryStatsState {
-            retries: s.retries,
-            rate_limited: s.rate_limited,
-            server_errors: s.server_errors,
-            sheds: s.sheds,
-            resets: s.resets,
-            deadlines_exceeded: s.deadlines_exceeded,
-            backoff_virtual_ms: s.backoff_virtual_ms,
-            edge_limited: s.edge_limited,
-            fault_rate_limited: s.fault_rate_limited,
-            throttled: s.throttled,
-            stale_refetches: s.stale_refetches,
-            tombstones: s.tombstones,
-        }
-    }
-
-    pub fn to_stats(&self) -> hsp_http::RetryStatsSnapshot {
-        hsp_http::RetryStatsSnapshot {
-            retries: self.retries,
-            rate_limited: self.rate_limited,
-            server_errors: self.server_errors,
-            sheds: self.sheds,
-            resets: self.resets,
-            deadlines_exceeded: self.deadlines_exceeded,
-            backoff_virtual_ms: self.backoff_virtual_ms,
-            edge_limited: self.edge_limited,
-            fault_rate_limited: self.fault_rate_limited,
-            throttled: self.throttled,
-            stale_refetches: self.stale_refetches,
-            tombstones: self.tombstones,
-        }
-    }
-}
-
-/// One account lane's full resume state at a commit boundary.
+/// One account lane's state: each seat keeps its own, and the crawler
+/// journals it at every commit boundary it moved across.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct LaneState {
     /// Position in the scheduler's account vector (enrollment order).
@@ -300,15 +226,16 @@ pub struct LaneState {
     pub password: String,
     pub suspended: bool,
     pub effort: Effort,
-    /// Fallback local timeline (clock-less seats).
-    pub local_ms: u64,
-    /// The lane's private [`hsp_obs::VirtualClock`] position.
+    /// The seat's private [`hsp_obs::VirtualClock`] position, read from
+    /// the clock at each commit.
     pub clock_ms: u64,
-    /// Per-endpoint breaker states, keyed by endpoint label.
+    /// Per-endpoint breaker states, keyed by endpoint label; an
+    /// endpoint gets one at its first failure.
     pub breakers: BTreeMap<String, BreakerState>,
     /// Next trace ordinal on this lane.
     pub trace_ordinal: u64,
-    pub transport: TransportJournalState,
+    /// The seat's exchange state, read from the exchange at each commit.
+    pub transport: TransportState,
     /// Omitted at its default, so a naive crawl's journal carries no
     /// pacing bytes.
     #[serde(default, skip_serializing_if = "PacingState::is_default")]
@@ -342,13 +269,19 @@ impl PacingState {
 }
 
 /// Scheduler-level resume state at a commit boundary.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedState {
+    /// Round-robin cursor for the few non-batched requests (messages).
     pub rr: u64,
+    /// Modeled virtual wall clock of the whole crawl at `workers` lanes.
     pub modeled_wall_ms: u64,
+    /// Accounts recruited so far (recruit usernames count from it).
     pub recruited: u64,
+    /// Profile re-fetches issued by commit-time pair reconciliation
+    /// (on top of the seats' own pagination-restart counts).
     pub stale_refetches: u64,
-    pub retry_stats: RetryStatsState,
+    /// The shared transport retry counters.
+    pub retry_stats: RetryStatsSnapshot,
 }
 
 /// One committed circles page set (`(uid, incoming) -> members`), kept
@@ -539,6 +472,8 @@ pub struct Journal {
     records_written: u64,
     bytes_written: u64,
     groups_committed: u64,
+    /// Fdatasyncs of committed groups (lifetime).
+    syncs: u64,
     /// Fdatasync every n-th committed group (group-commit batching).
     sync_every: u64,
     /// Committed groups written since the last fdatasync.
@@ -562,6 +497,7 @@ impl Journal {
             records_written: 0,
             bytes_written: 0,
             groups_committed: 0,
+            syncs: 0,
             sync_every: 1,
             unsynced_groups: 0,
             kill: None,
@@ -611,11 +547,16 @@ impl Journal {
         self
     }
 
-    /// Count this journal's writes in `metrics`. Write-path time already
-    /// spent — a [`Journal::create_with_base`] reopen — is credited to
-    /// `write_us_total` now, so the counter keeps matching
-    /// [`Journal::time_spent`].
+    /// Count this journal's writes in `metrics`. What the journal has
+    /// already written, synced and spent — a [`Journal::create_with_base`]
+    /// reopen's `Base` group — is credited now, so the counters keep
+    /// matching [`Journal::records_written`], [`Journal::bytes_written`],
+    /// [`Journal::groups_committed`] and [`Journal::time_spent`].
     pub fn with_metrics(mut self, metrics: JournalMetrics) -> Journal {
+        metrics.appends_total.add(self.records_written);
+        metrics.bytes_total.add(self.bytes_written);
+        metrics.groups_total.add(self.groups_committed);
+        metrics.syncs_total.add(self.syncs);
         metrics.write_us_total.add(self.spent.as_micros() as u64);
         self.metrics = Some(metrics);
         self
@@ -734,11 +675,7 @@ impl Journal {
         // every `sync_every`-th commit.
         self.unsynced_groups += 1;
         if self.groups_committed == 0 || self.unsynced_groups >= self.sync_every {
-            self.file.sync_data()?;
-            self.unsynced_groups = 0;
-            if let Some(m) = &self.metrics {
-                m.syncs_total.inc();
-            }
+            self.sync_groups()?;
         }
         self.records_written += n;
         self.bytes_written += self.pending.len() as u64;
@@ -753,23 +690,23 @@ impl Journal {
         Ok(())
     }
 
+    /// Fdatasync the groups written since the last sync.
+    fn sync_groups(&mut self) -> Result<(), JournalError> {
+        self.file.sync_data()?;
+        self.unsynced_groups = 0;
+        self.syncs += 1;
+        if let Some(m) = &self.metrics {
+            m.syncs_total.inc();
+        }
+        Ok(())
+    }
+
     /// Force any deferred fdatasync (see [`Journal::with_sync_every`]).
     pub fn sync(&mut self) -> Result<(), JournalError> {
         let t0 = std::time::Instant::now();
-        let r = self.sync_inner();
+        let r = if self.unsynced_groups > 0 { self.sync_groups() } else { Ok(()) };
         self.note_spent(t0);
         r
-    }
-
-    fn sync_inner(&mut self) -> Result<(), JournalError> {
-        if self.unsynced_groups > 0 {
-            self.file.sync_data()?;
-            self.unsynced_groups = 0;
-            if let Some(m) = &self.metrics {
-                m.syncs_total.inc();
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1258,6 +1195,26 @@ mod tests {
     }
 
     #[test]
+    fn metrics_attached_after_a_reopen_count_its_base_group() {
+        let path = tmp_path("reopen_counters.wal");
+        drop(write_log(&path, &sample_records()));
+        let log = recover(&path).expect("recover");
+        let state = fold_state(&log.records).expect("fold").expect("state");
+        let metrics = JournalMetrics::register(&Registry::new());
+        let mut journal =
+            Journal::create_with_base(&path, &state).expect("reopen").with_metrics(metrics.clone());
+        journal.append(&JournalRecord::Sched { sched: SchedState::default() }).expect("append");
+        journal.commit("sched").expect("commit");
+        assert_eq!(journal.records_written(), 4, "Base + Commit, then Sched + Commit");
+        assert_eq!(metrics.appends_total.get(), journal.records_written());
+        assert_eq!(metrics.bytes_total.get(), journal.bytes_written());
+        assert_eq!(journal.bytes_written(), std::fs::metadata(&path).expect("size").len());
+        assert_eq!(metrics.groups_total.get(), journal.groups_committed());
+        assert_eq!(metrics.syncs_total.get(), 2, "one fdatasync per group at sync_every = 1");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn apply_keeps_circles_sorted_and_partial_lists_exact() {
         let mut state = ResumeState::default();
         for (uid, incoming) in [(9, true), (2, false), (9, false), (2, true)] {
@@ -1379,7 +1336,7 @@ mod framing_proptests {
         )
             .prop_map(
                 |(
-                    (index, username, suspended, local_ms, requests),
+                    (index, username, suspended, clock_ms, requests),
                     breakers,
                     (cookies, attempt_seq, jitter_state),
                     (draws, profiles, revisit, widen_factor, calm_streak),
@@ -1393,14 +1350,13 @@ mod framing_proptests {
                         captcha_virtual_ms: requests / 3,
                         ..Effort::default()
                     },
-                    local_ms,
-                    clock_ms: local_ms / 2,
+                    clock_ms,
                     breakers: breakers
                         .into_iter()
                         .map(|(ep, consecutive, open)| (ep, BreakerState { consecutive, open }))
                         .collect(),
-                    trace_ordinal: requests ^ local_ms,
-                    transport: TransportJournalState { cookies, attempt_seq, jitter_state },
+                    trace_ordinal: requests ^ clock_ms,
+                    transport: TransportState { cookies, attempt_seq, jitter_state },
                     pacing: PacingState {
                         draws,
                         profiles,
@@ -1419,11 +1375,11 @@ mod framing_proptests {
                 modeled_wall_ms,
                 recruited,
                 stale_refetches,
-                retry_stats: RetryStatsState {
+                retry_stats: RetryStatsSnapshot {
                     retries,
                     sheds,
                     throttled: retries ^ sheds,
-                    ..RetryStatsState::default()
+                    ..RetryStatsSnapshot::default()
                 },
             },
         )

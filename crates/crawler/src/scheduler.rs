@@ -23,7 +23,11 @@
 //! Each operation that fetched something builds its [`JournalRecord`]s,
 //! journals them when a journal is attached, and applies them with
 //! [`ResumeState::apply`] — the transition recovery folds a journal
-//! with — so a crawler equals the fold of its own journal.
+//! with — so a crawler equals the fold of its own journal. Machine
+//! state is kept the same way: each seat keeps the [`LaneState`] it
+//! journals (only its clock position and transport state are read in
+//! at a commit, from the seat's clock and exchange), the scheduler
+//! keeps one live [`SchedState`], and a resume hands them back whole.
 //!
 //! Every request carries its seat's clock in `x-virtual-now-ms`: that
 //! stamp is the one timeline of the crawl. The platform serves a live
@@ -50,21 +54,19 @@ use crate::driver::{
 };
 use crate::effort::Effort;
 use crate::journal::{
-    BreakerState, Journal, JournalError, JournalRecord, LaneState, PacingState, ResumeState,
-    RetryStatsState, SchedState, TransportJournalState,
+    BreakerState, Journal, JournalError, JournalRecord, LaneState, ResumeState, SchedState,
 };
 use crate::scrape::{parse_listing, parse_listing_stamped, parse_profile, ScrapedProfile};
 use crate::snapshot::CrawlSnapshot;
 use hsp_graph::{SchoolId, UserId};
 use hsp_http::resilient::{
-    captcha_delay_ms, is_shed, retryable_transport_error, RetryStats, H_ACCOUNT_SUSPENDED,
-    H_TRACE_ID, H_VIRTUAL_NOW,
+    captcha_delay_ms, is_shed, retryable_transport_error, RetryStats, RetryStatsSnapshot,
+    H_ACCOUNT_SUSPENDED, H_TRACE_ID, H_VIRTUAL_NOW,
 };
 use hsp_http::{Exchange, HttpError, Request, Response, Status};
 use hsp_obs::trace::TRACE_SEED;
 use hsp_obs::{FlightRecorder, Gauge, Histogram, Registry, TraceCtx, VirtualClock};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -72,7 +74,9 @@ use std::time::Instant;
 /// be **per account** (not shared with other accounts): the resilient
 /// layer charges backoff and absorbed latency to it, and sharing one
 /// clock across concurrent accounts would make each account's apparent
-/// elapsed time depend on thread interleaving.
+/// elapsed time depend on thread interleaving. A seat built with
+/// `clock: None` gets a private clock of its own, which only the
+/// crawler advances.
 pub struct AccountSeat<E: Exchange> {
     pub exchange: E,
     pub clock: Option<Arc<VirtualClock>>,
@@ -147,27 +151,23 @@ impl SchedMetrics {
     }
 }
 
-/// One sock-puppet account: exchange, session, effort ledger, private
-/// virtual timeline, pacing state and per-endpoint breakers. Only one
-/// thread drives an account at a time (queues are stolen whole), so
-/// the interior is plain data behind the scheduler's `Mutex`.
+/// One sock-puppet account: its exchange and virtual timeline, and the
+/// [`LaneState`] it journals (session, effort ledger, pacing state,
+/// per-endpoint breakers, trace cursor). Only one thread drives an
+/// account at a time (queues are stolen whole), so the interior is
+/// plain data behind the scheduler's `Mutex`.
 struct AccountWorker<E: Exchange> {
     exchange: E,
-    username: String,
-    password: String,
-    suspended: bool,
-    effort: Effort,
-    /// Fallback timeline when no clock was supplied.
-    local_ms: u64,
-    clock: Option<Arc<VirtualClock>>,
-    breakers: HashMap<&'static str, BreakerState>,
-    /// Trace lane ([`trace_lane`] of the username) and the next request
-    /// ordinal on it. Only this worker's thread touches the ordinal, so
-    /// per-lane trace ids are deterministic at any worker count. The
-    /// lane also keys the adaptive strategy's jitter stream.
-    lane: u64,
-    trace_ordinal: u64,
-    pacing: PacingState,
+    clock: Arc<VirtualClock>,
+    /// This seat's journaled state. Its `clock_ms` and `transport` live
+    /// in `clock` and `exchange` and are read into it at each commit
+    /// ([`AccountWorker::sync_lane`]). Only this worker's thread touches
+    /// the trace ordinal, so per-lane trace ids are deterministic at any
+    /// worker count.
+    lane: LaneState,
+    /// [`trace_lane`] of the username: keys this seat's trace ids and
+    /// the adaptive strategy's jitter stream.
+    trace_lane: u64,
     /// Application-level auth-POST retries (signup/login resent after a
     /// transport failure or a refusal). Not journaled: the soak
     /// reconciles it against the chaos layer's POST-redelivery watchdog
@@ -176,35 +176,22 @@ struct AccountWorker<E: Exchange> {
 }
 
 impl<E: Exchange> AccountWorker<E> {
-    fn new(exchange: E, clock: Option<Arc<VirtualClock>>, username: String) -> Self {
+    fn new(seat: AccountSeat<E>, lane: LaneState) -> Self {
         AccountWorker {
-            exchange,
-            lane: trace_lane(&username),
-            username,
-            password: "hunter2".to_string(),
-            suspended: false,
-            effort: Effort::default(),
-            local_ms: 0,
-            clock,
-            breakers: HashMap::new(),
-            trace_ordinal: 0,
-            pacing: PacingState::default(),
+            exchange: seat.exchange,
+            clock: seat.clock.unwrap_or_else(VirtualClock::shared),
+            trace_lane: trace_lane(&lane.username),
+            lane,
             auth_retries: 0,
         }
     }
 
-    fn now_ms(&self) -> u64 {
-        match &self.clock {
-            Some(clock) => clock.now_ms(),
-            None => self.local_ms,
-        }
-    }
-
-    fn advance_ms(&mut self, ms: u64) {
-        self.local_ms += ms;
-        if let Some(clock) = &self.clock {
-            clock.advance_ms(ms);
-        }
+    /// The lane state as of now: the clock position and transport state
+    /// read into the kept [`LaneState`].
+    fn sync_lane(&mut self) -> &LaneState {
+        self.lane.clock_ms = self.clock.now_ms();
+        self.lane.transport = self.exchange.transport_state();
+        &self.lane
     }
 
     /// Mint the next trace context on this account's lane, or `None`
@@ -214,8 +201,8 @@ impl<E: Exchange> AccountWorker<E> {
         if !tracer.is_enabled() {
             return None;
         }
-        let ctx = TraceCtx::derive(TRACE_SEED, self.lane, self.trace_ordinal);
-        self.trace_ordinal += 1;
+        let ctx = TraceCtx::derive(TRACE_SEED, self.trace_lane, self.lane.trace_ordinal);
+        self.lane.trace_ordinal += 1;
         Some((Arc::clone(tracer), ctx))
     }
 
@@ -224,12 +211,12 @@ impl<E: Exchange> AccountWorker<E> {
     /// that's the point: Table 3 stays honest under faults.
     fn count_request(&mut self, endpoint: &'static str, shared: &Shared) {
         match endpoint {
-            EP_AUTH => self.effort.auth_requests += 1,
-            EP_SEEDS => self.effort.seed_requests += 1,
-            EP_PROFILE => self.effort.profile_requests += 1,
-            EP_FRIENDS | EP_CIRCLES => self.effort.friend_list_requests += 1,
-            EP_MESSAGE => self.effort.message_requests += 1,
-            EP_DECOY => self.effort.decoy_requests += 1,
+            EP_AUTH => self.lane.effort.auth_requests += 1,
+            EP_SEEDS => self.lane.effort.seed_requests += 1,
+            EP_PROFILE => self.lane.effort.profile_requests += 1,
+            EP_FRIENDS | EP_CIRCLES => self.lane.effort.friend_list_requests += 1,
+            EP_MESSAGE => self.lane.effort.message_requests += 1,
+            EP_DECOY => self.lane.effort.decoy_requests += 1,
             _ => {}
         }
         if let Some(m) = &shared.metrics {
@@ -244,17 +231,18 @@ impl<E: Exchange> AccountWorker<E> {
     /// jitters the sleep from the account's own draw counter and
     /// multiplies it during the account's warm-up.
     fn advance_politeness(&mut self, shared: &Shared) {
-        let base = shared.politeness.sleep_ms_between_requests * self.pacing.widen_factor.max(1);
+        let base =
+            shared.politeness.sleep_ms_between_requests * self.lane.pacing.widen_factor.max(1);
         let ms = match shared.adaptive {
             None => base,
             Some(s) => {
-                let n = self.pacing.draws;
-                self.pacing.draws += 1;
+                let n = self.lane.pacing.draws;
+                self.lane.pacing.draws += 1;
                 let warmup = if n < s.warmup_requests { s.warmup_factor.max(1) } else { 1 };
-                (base * s.jitter_pm(self.lane, n) / 1_000 * warmup).max(1)
+                (base * s.jitter_pm(self.trace_lane, n) / 1_000 * warmup).max(1)
             }
         };
-        self.advance_ms(ms);
+        self.clock.advance_ms(ms);
         if let Some(m) = &shared.metrics {
             m.politeness_virtual_ms.add(ms);
         }
@@ -264,11 +252,11 @@ impl<E: Exchange> AccountWorker<E> {
     /// account's spacing, capped, the way the paper's crawlers slowed
     /// down to stay under the radar.
     fn widen_pacing(&mut self, shared: &Shared) {
-        self.pacing.calm_streak = 0;
+        self.lane.pacing.calm_streak = 0;
         let cap = shared.politeness.max_widen_factor.max(1);
-        let factor = self.pacing.widen_factor.max(1);
+        let factor = self.lane.pacing.widen_factor.max(1);
         if factor < cap {
-            self.pacing.widen_factor = (factor * 2).min(cap);
+            self.lane.pacing.widen_factor = (factor * 2).min(cap);
             if let Some(m) = &shared.metrics {
                 m.politeness_widened.inc();
             }
@@ -278,40 +266,41 @@ impl<E: Exchange> AccountWorker<E> {
     /// A clean fetch: after enough calm in a row, narrow one step back
     /// toward the base rate.
     fn note_fetch_success(&mut self, shared: &Shared) {
-        if self.pacing.widen_factor <= 1 {
+        if self.lane.pacing.widen_factor <= 1 {
             return;
         }
-        self.pacing.calm_streak += 1;
-        if self.pacing.calm_streak >= shared.politeness.narrow_after_successes {
-            self.pacing.calm_streak = 0;
-            self.pacing.widen_factor /= 2;
+        self.lane.pacing.calm_streak += 1;
+        if self.lane.pacing.calm_streak >= shared.politeness.narrow_after_successes {
+            self.lane.pacing.calm_streak = 0;
+            self.lane.pacing.widen_factor /= 2;
         }
     }
 
     /// Bill one page re-fetched over a live-world staleness conflict
     /// (the GET itself already landed in the endpoint bucket).
     fn note_stale_refetch(&mut self, shared: &Shared) {
-        self.effort.stale_refetch_requests += 1;
+        self.lane.effort.stale_refetch_requests += 1;
         if let Some(m) = &shared.metrics {
             m.stale_refetches.inc();
         }
     }
 
     fn breaker_failure(&mut self, endpoint: &'static str, shared: &Shared) {
-        let opened =
-            self.breakers.entry(endpoint).or_default().record_failure(BREAKER_FAILURE_THRESHOLD);
-        if opened {
+        let breaker = self.lane.breakers.entry(endpoint.to_string()).or_default();
+        if breaker.record_failure(BREAKER_FAILURE_THRESHOLD) {
             if let Some(m) = &shared.metrics {
                 if let Some(c) = m.breaker_open.get(endpoint) {
                     c.inc();
                 }
             }
-            self.advance_ms(BREAKER_COOLDOWN_MS);
+            self.clock.advance_ms(BREAKER_COOLDOWN_MS);
         }
     }
 
+    /// Breakers are kept from an endpoint's first failure on, so a
+    /// success on an endpoint that never failed touches nothing.
     fn breaker_success(&mut self, endpoint: &'static str, shared: &Shared) {
-        if self.breakers.entry(endpoint).or_default().record_success() {
+        if self.lane.breakers.get_mut(endpoint).is_some_and(BreakerState::record_success) {
             if let Some(m) = &shared.metrics {
                 if let Some(c) = m.breaker_closed.get(endpoint) {
                     c.inc();
@@ -321,8 +310,8 @@ impl<E: Exchange> AccountWorker<E> {
     }
 
     fn mark_suspended(&mut self, shared: &Shared) {
-        if !self.suspended {
-            self.suspended = true;
+        if !self.lane.suspended {
+            self.lane.suspended = true;
             if let Some(m) = &shared.metrics {
                 m.account_suspensions.inc();
                 m.refusal("suspension", 1);
@@ -335,9 +324,9 @@ impl<E: Exchange> AccountWorker<E> {
     /// on its effort ledger.
     fn absorb_captcha(&mut self, resp: &Response, shared: &Shared) {
         let Some(ms) = captcha_delay_ms(resp) else { return };
-        self.effort.captcha_challenges += 1;
-        self.effort.captcha_virtual_ms += ms;
-        self.advance_ms(ms);
+        self.lane.effort.captcha_challenges += 1;
+        self.lane.effort.captcha_virtual_ms += ms;
+        self.clock.advance_ms(ms);
         if let Some(m) = &shared.metrics {
             m.captcha_challenges.inc();
             m.captcha_virtual_ms.add(ms);
@@ -378,17 +367,19 @@ impl<E: Exchange> AccountWorker<E> {
 
     /// One auth POST, with its transport-error resends.
     fn auth_once(&mut self, path: &str, shared: &Shared) -> Result<Response, CrawlError> {
-        let mut req =
-            Request::post_form(path, &[("user", &self.username), ("pass", &self.password)]);
+        let mut req = Request::post_form(
+            path,
+            &[("user", &self.lane.username), ("pass", &self.lane.password)],
+        );
         let trace = self.next_trace_ctx(shared);
         if let Some((_, ctx)) = &trace {
             req = req.header(H_TRACE_ID, ctx.header_value());
         }
-        let begin_ms = self.now_ms();
+        let begin_ms = self.clock.now_ms();
         let result = auth_post(&mut self.exchange, &req);
         if let Some((tracer, ctx)) = &trace {
             let resp = result.as_ref().ok().map(|(resp, _)| resp);
-            record_root_span(tracer, ctx, EP_AUTH, begin_ms, self.now_ms(), resp);
+            record_root_span(tracer, ctx, EP_AUTH, begin_ms, self.clock.now_ms(), resp);
         }
         let (resp, retries) = result?;
         for _ in 0..=retries {
@@ -437,12 +428,12 @@ impl<E: Exchange> AccountWorker<E> {
         let mut truncations = 0u32;
         let mut last_denied = Status::SERVICE_UNAVAILABLE;
         for _ in 0..shared.budget {
-            if self.suspended {
+            if self.lane.suspended {
                 return FetchOut::Suspended;
             }
             self.advance_politeness(shared);
             let trace = self.next_trace_ctx(shared);
-            let begin_ms = self.now_ms();
+            let begin_ms = self.clock.now_ms();
             // Request-carried virtual time: the seat clocks are the
             // crawl's only timeline, so this stamp is what a mutating
             // platform serves and the detector times deterministically.
@@ -458,7 +449,7 @@ impl<E: Exchange> AccountWorker<E> {
                     ctx,
                     endpoint,
                     begin_ms,
-                    self.now_ms(),
+                    self.clock.now_ms(),
                     result.as_ref().ok(),
                 );
             }
@@ -547,14 +538,14 @@ impl<E: Exchange> AccountWorker<E> {
         if s.decoy_every == 0 {
             return;
         }
-        if !tombstoned && self.pacing.revisit.is_none() {
-            self.pacing.revisit = Some(uid);
+        if !tombstoned && self.lane.pacing.revisit.is_none() {
+            self.lane.pacing.revisit = Some(uid);
         }
-        self.pacing.profiles += 1;
-        if !self.pacing.profiles.is_multiple_of(s.decoy_every) {
+        self.lane.pacing.profiles += 1;
+        if !self.lane.pacing.profiles.is_multiple_of(s.decoy_every) {
             return;
         }
-        let Some(target) = self.pacing.revisit.take() else { return };
+        let Some(target) = self.lane.pacing.revisit.take() else { return };
         if let Some(m) = &shared.metrics {
             m.adapt_decoys.inc();
         }
@@ -873,26 +864,18 @@ pub struct ParallelCrawler<E: Exchange + Send> {
     workers: usize,
     shared: Shared,
     factory: Option<Box<dyn FnMut() -> AccountSeat<E>>>,
-    recruited: usize,
     max_accounts: usize,
-    /// Cursors into the shared [`RetryStats`] for the retry metric and
-    /// the refusal ledger.
-    retries_synced: AtomicU64,
-    edge_refusals_synced: AtomicU64,
-    fault_refusals_synced: AtomicU64,
-    throttle_refusals_synced: AtomicU64,
-    shed_refusals_synced: AtomicU64,
+    /// The shared [`RetryStats`] as last synced into the retry metric
+    /// and the refusal ledger.
+    synced: Mutex<RetryStatsSnapshot>,
     sched_metrics: Option<SchedMetrics>,
     /// The committed crawl state: everything sealed so far, changed only
     /// by [`ResumeState::apply`] — exactly what the journal folds to.
     state: ResumeState,
-    /// Profile re-fetches issued by commit-time pair reconciliation
-    /// (on top of the workers' own pagination-restart counts).
-    stale_refetches: u64,
-    /// Round-robin cursor for the few non-batched requests (messages).
-    rr: usize,
-    /// Modeled virtual wall-clock of the whole crawl at `workers` lanes.
-    modeled_wall_ms: u64,
+    /// The live scheduler state: message round-robin cursor, modeled
+    /// wall clock, recruits, reconcile re-fetches. Its `retry_stats` is
+    /// read from the shared stats at each commit.
+    sched: SchedState,
     /// Durable crawl journal (crash-only operation); `None` = volatile.
     journal: Option<Journal>,
 }
@@ -904,21 +887,6 @@ fn map_journal_err(e: JournalError) -> CrawlError {
     match e {
         JournalError::Killed => CrawlError::BadPage("journal kill point"),
         _ => CrawlError::BadPage("journal append failed"),
-    }
-}
-
-/// Map a journaled breaker-endpoint name back to its `&'static str`
-/// label (unknown names — a newer journal, say — are dropped).
-fn endpoint_label(name: &str) -> Option<&'static str> {
-    match name {
-        EP_AUTH => Some(EP_AUTH),
-        EP_SEEDS => Some(EP_SEEDS),
-        EP_PROFILE => Some(EP_PROFILE),
-        EP_FRIENDS => Some(EP_FRIENDS),
-        EP_CIRCLES => Some(EP_CIRCLES),
-        EP_MESSAGE => Some(EP_MESSAGE),
-        EP_DECOY => Some(EP_DECOY),
-        _ => None,
     }
 }
 
@@ -961,16 +929,9 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             },
             factory: builder.factory,
             max_accounts: builder.max_accounts,
-            retries_synced: AtomicU64::new(0),
-            edge_refusals_synced: AtomicU64::new(0),
-            fault_refusals_synced: AtomicU64::new(0),
-            throttle_refusals_synced: AtomicU64::new(0),
-            shed_refusals_synced: AtomicU64::new(0),
+            synced: Mutex::new(RetryStatsSnapshot::default()),
             sched_metrics,
-            stale_refetches: state.sched.stale_refetches,
-            rr: state.sched.rr as usize,
-            modeled_wall_ms: state.sched.modeled_wall_ms,
-            recruited: state.sched.recruited as usize,
+            sched: state.sched,
             state,
             journal: builder.journal,
         }
@@ -1013,37 +974,18 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         // must keep matching the original run's.
         let mut crawler = Self::from_builder(state.clone(), builder, seats.len());
         // Transport retry ledger: restore the shared stats handle and
-        // pre-load the synced cursors so metric deltas only count
-        // post-resume activity (no double-billing on restart).
+        // mark it synced, so metric deltas only count post-resume
+        // activity (no double-billing on restart).
         if let Some(stats) = &crawler.shared.retry_stats {
-            let journaled = &state.sched.retry_stats;
-            stats.restore(&journaled.to_stats());
-            crawler.retries_synced = AtomicU64::new(journaled.retries);
-            crawler.edge_refusals_synced = AtomicU64::new(journaled.edge_limited);
-            crawler.fault_refusals_synced = AtomicU64::new(journaled.fault_rate_limited);
-            crawler.throttle_refusals_synced = AtomicU64::new(journaled.throttled);
-            crawler.shed_refusals_synced = AtomicU64::new(journaled.sheds);
+            stats.restore(&state.sched.retry_stats);
+            *crawler.synced.get_mut().expect("synced lock") = state.sched.retry_stats;
         }
         for (seat, lane) in seats.into_iter().zip(&state.lanes) {
-            let mut worker = AccountWorker::new(seat.exchange, seat.clock, lane.username.clone());
-            worker.exchange.restore_transport_state(&lane.transport.to_transport());
-            if let Some(c) = &worker.clock {
-                // A fresh seat clock starts at zero; fast-forward it to
-                // the journaled timeline. (Not `advance_ms` on the
-                // worker — that would double-charge `local_ms`.)
-                c.advance_ms(lane.clock_ms);
-            }
-            for (name, &b) in &lane.breakers {
-                if let Some(ep) = endpoint_label(name) {
-                    worker.breakers.insert(ep, b);
-                }
-            }
-            worker.password = lane.password.clone();
-            worker.suspended = lane.suspended;
-            worker.effort = lane.effort;
-            worker.local_ms = lane.local_ms;
-            worker.trace_ordinal = lane.trace_ordinal;
-            worker.pacing = lane.pacing;
+            let mut worker = AccountWorker::new(seat, lane.clone());
+            worker.exchange.restore_transport_state(&lane.transport);
+            // A fresh seat clock starts at zero; fast-forward it to the
+            // journaled timeline.
+            worker.clock.advance_ms(lane.clock_ms);
             crawler.accounts.push(Mutex::new(worker));
         }
         crawler.write_base_group()?;
@@ -1065,7 +1007,13 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
 
     /// Sign up and log in one seat, then add it to the fleet.
     fn enroll(&mut self, seat: AccountSeat<E>, username: String) -> Result<(), CrawlError> {
-        let mut worker = AccountWorker::new(seat.exchange, seat.clock, username);
+        let lane = LaneState {
+            index: self.accounts.len() as u64,
+            username,
+            password: "hunter2".to_string(),
+            ..LaneState::default()
+        };
+        let mut worker = AccountWorker::new(seat, lane);
         worker.enroll(&self.shared)?;
         self.accounts.push(Mutex::new(worker));
         Ok(())
@@ -1085,7 +1033,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
     pub fn politeness_widen_factor(&self) -> u64 {
         self.accounts
             .iter()
-            .map(|a| a.lock().expect("account lock").pacing.widen_factor.max(1))
+            .map(|a| a.lock().expect("account lock").lane.pacing.widen_factor.max(1))
             .max()
             .unwrap_or(1)
     }
@@ -1097,48 +1045,15 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         self.accounts.iter().map(|a| a.lock().expect("account lock").auth_retries).sum()
     }
 
-    /// Snapshot every lane's full machine state (transport, clocks,
-    /// breakers, effort, trace cursor, pacing) for a commit boundary.
+    /// Every lane's state as of now (see [`AccountWorker::sync_lane`]).
     fn lane_states(&self) -> Vec<LaneState> {
-        self.accounts
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                let worker = a.lock().expect("account lock");
-                let breakers =
-                    worker.breakers.iter().map(|(&ep, &b)| (ep.to_string(), b)).collect();
-                LaneState {
-                    index: i as u64,
-                    username: worker.username.clone(),
-                    password: worker.password.clone(),
-                    suspended: worker.suspended,
-                    effort: worker.effort,
-                    local_ms: worker.local_ms,
-                    clock_ms: worker.clock.as_ref().map(|c| c.now_ms()).unwrap_or(0),
-                    breakers,
-                    trace_ordinal: worker.trace_ordinal,
-                    transport: TransportJournalState::from_transport(
-                        &worker.exchange.transport_state(),
-                    ),
-                    pacing: worker.pacing,
-                }
-            })
-            .collect()
+        self.accounts.iter().map(|a| a.lock().expect("account lock").sync_lane().clone()).collect()
     }
 
+    /// The scheduler state as of now, with the shared retry counters.
     fn sched_state(&self) -> SchedState {
-        SchedState {
-            rr: self.rr as u64,
-            modeled_wall_ms: self.modeled_wall_ms,
-            recruited: self.recruited as u64,
-            stale_refetches: self.stale_refetches,
-            retry_stats: self
-                .shared
-                .retry_stats
-                .as_ref()
-                .map(|s| RetryStatsState::from_stats(&s.export()))
-                .unwrap_or_default(),
-        }
+        let retry_stats = self.shared.retry_stats.as_ref().map(|s| s.export()).unwrap_or_default();
+        SchedState { retry_stats, ..self.sched }
     }
 
     /// The crawler's committed state: what its journal folds to, and
@@ -1159,9 +1074,11 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         op: &'static str,
         mut records: Vec<JournalRecord>,
     ) -> Result<(), CrawlError> {
-        for (i, lane) in self.lane_states().into_iter().enumerate() {
-            if self.state.lanes.get(i) != Some(&lane) {
-                records.push(JournalRecord::Lane { lane });
+        for (i, account) in self.accounts.iter().enumerate() {
+            let mut worker = account.lock().expect("account lock");
+            let lane = worker.sync_lane();
+            if self.state.lanes.get(i) != Some(lane) {
+                records.push(JournalRecord::Lane { lane: lane.clone() });
             }
         }
         records.push(JournalRecord::Sched { sched: self.sched_state() });
@@ -1196,7 +1113,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         self.accounts
             .iter()
             .enumerate()
-            .filter(|(_, a)| !a.lock().expect("account lock").suspended)
+            .filter(|(_, a)| !a.lock().expect("account lock").lane.suspended)
             .map(|(i, _)| i)
             .collect()
     }
@@ -1206,27 +1123,14 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
     /// into `crawler_refusals_total{source=edge|fault|throttle|shed}`.
     fn sync_retry_metric(&self) {
         let Some(stats) = &self.shared.retry_stats else { return };
-        let now = stats.retries();
-        let prev = self.retries_synced.swap(now, Ordering::SeqCst);
-        let delta = now.saturating_sub(prev);
-        if delta > 0 {
-            if let Some(m) = &self.shared.metrics {
-                m.fetch_retry.add(delta);
-            }
-        }
+        let now = stats.export();
+        let last = std::mem::replace(&mut *self.synced.lock().expect("synced lock"), now);
         if let Some(m) = &self.shared.metrics {
-            let edge = stats.edge_limited();
-            let prev = self.edge_refusals_synced.swap(edge, Ordering::SeqCst);
-            m.refusal("edge", edge.saturating_sub(prev));
-            let fault = stats.fault_rate_limited();
-            let prev = self.fault_refusals_synced.swap(fault, Ordering::SeqCst);
-            m.refusal("fault", fault.saturating_sub(prev));
-            let throttle = stats.throttled();
-            let prev = self.throttle_refusals_synced.swap(throttle, Ordering::SeqCst);
-            m.refusal("throttle", throttle.saturating_sub(prev));
-            let shed = stats.sheds();
-            let prev = self.shed_refusals_synced.swap(shed, Ordering::SeqCst);
-            m.refusal("shed", shed.saturating_sub(prev));
+            m.fetch_retry.add(now.retries.saturating_sub(last.retries));
+            m.refusal("edge", now.edge_limited.saturating_sub(last.edge_limited));
+            m.refusal("fault", now.fault_rate_limited.saturating_sub(last.fault_rate_limited));
+            m.refusal("throttle", now.throttled.saturating_sub(last.throttled));
+            m.refusal("shed", now.sheds.saturating_sub(last.sheds));
         }
     }
 
@@ -1238,8 +1142,8 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         let mut result = Ok(());
         while self.accounts.len() < target {
             let seat = factory();
-            let username = format!("{}-r{}", self.state.label, self.recruited);
-            self.recruited += 1;
+            let username = format!("{}-r{}", self.state.label, self.sched.recruited);
+            self.sched.recruited += 1;
             match self.enroll(seat, username) {
                 Ok(()) => {
                     if let Some(m) = &self.shared.metrics {
@@ -1269,8 +1173,8 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         let shared = &self.shared;
         let run_queue = |(account, jobs): &(usize, Vec<Job>)| -> QueueOut {
             let mut worker = accounts[*account].lock().expect("account lock");
-            let t0 = worker.now_ms();
-            let e0 = worker.effort;
+            let t0 = worker.clock.now_ms();
+            let e0 = worker.lane.effort;
             let mut out = QueueOut {
                 done: Vec::with_capacity(jobs.len()),
                 leftover: Vec::new(),
@@ -1291,8 +1195,8 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
                     }
                 }
             }
-            out.virtual_ms = worker.now_ms() - t0;
-            out.requests = effort_requests(&worker.effort) - effort_requests(&e0);
+            out.virtual_ms = worker.clock.now_ms() - t0;
+            out.requests = effort_requests(&worker.lane.effort) - effort_requests(&e0);
             out
         };
         let outs: Vec<QueueOut> = if threads == 1 {
@@ -1336,7 +1240,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             leftover.extend(out.leftover);
         }
         let batch_makespan = makespan(&durations, self.workers);
-        self.modeled_wall_ms += batch_makespan;
+        self.sched.modeled_wall_ms += batch_makespan;
         if let Some(m) = &self.sched_metrics {
             let elapsed = started.elapsed();
             m.prefetch_batch_us.record(elapsed.as_micros() as u64);
@@ -1387,7 +1291,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
     fn total_effort(&self) -> Effort {
         let mut total = Effort::default();
         for account in &self.accounts {
-            let e = account.lock().expect("account lock").effort;
+            let e = account.lock().expect("account lock").lane.effort;
             total.auth_requests += e.auth_requests;
             total.seed_requests += e.seed_requests;
             total.profile_requests += e.profile_requests;
@@ -1398,7 +1302,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             total.decoy_requests += e.decoy_requests;
             total.stale_refetch_requests += e.stale_refetch_requests;
         }
-        total.stale_refetch_requests += self.stale_refetches;
+        total.stale_refetch_requests += self.sched.stale_refetches;
         total.tombstones = self.state.tombstoned.len() as u64;
         if let Some(stats) = &self.shared.retry_stats {
             total.retry_requests = stats.retries();
@@ -1498,7 +1402,7 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
             records.push(JournalRecord::FriendsCommitted { uid, friends, partial, gen });
         }
         if !conflicted.is_empty() {
-            self.stale_refetches += conflicted.len() as u64;
+            self.sched.stale_refetches += conflicted.len() as u64;
             if let Some(m) = &self.shared.metrics {
                 m.stale_refetches.add(conflicted.len() as u64);
             }
@@ -1566,15 +1470,15 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
             self.recruit()?;
         }
         let live = self.live_indices();
-        let Some(&account) = live.get(self.rr % live.len().max(1)) else {
+        let Some(&account) = live.get(self.sched.rr as usize % live.len().max(1)) else {
             return Err(CrawlError::Denied(Status::TOO_MANY_REQUESTS));
         };
-        self.rr += 1;
+        self.sched.rr += 1;
         let mut worker = self.accounts[account].lock().expect("account lock");
-        let t0 = worker.now_ms();
+        let t0 = worker.clock.now_ms();
         worker.advance_politeness(&self.shared);
         let trace = worker.next_trace_ctx(&self.shared);
-        let begin_ms = worker.now_ms();
+        let begin_ms = worker.clock.now_ms();
         let mut req = Request::post_form(format!("/message/{uid}"), &[("body", body)])
             .header(H_VIRTUAL_NOW, begin_ms.to_string());
         if let Some((_, ctx)) = &trace {
@@ -1587,7 +1491,7 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
                 ctx,
                 EP_MESSAGE,
                 begin_ms,
-                worker.now_ms(),
+                worker.clock.now_ms(),
                 result.as_ref().ok(),
             );
         }
@@ -1603,9 +1507,9 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
             }
             s => Err(CrawlError::Denied(s)),
         };
-        let elapsed = worker.now_ms() - t0;
+        let elapsed = worker.clock.now_ms() - t0;
         drop(worker);
-        self.modeled_wall_ms += elapsed;
+        self.sched.modeled_wall_ms += elapsed;
         self.sync_retry_metric();
         if matches!(outcome, Err(CrawlError::Denied(Status::TOO_MANY_REQUESTS))) {
             self.recruit()?;
@@ -1649,7 +1553,7 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
     /// The modeled makespan at `workers` lanes: per-batch greedy
     /// assignments of the account queues' virtual durations, summed.
     fn virtual_elapsed_ms(&self) -> u64 {
-        self.modeled_wall_ms
+        self.sched.modeled_wall_ms
     }
 }
 
@@ -1845,6 +1749,7 @@ mod tests {
     /// the seats, so this reads them.
     #[test]
     fn a_resumed_crawler_restores_every_seat_and_bills_nothing_twice() {
+        use crate::journal::PacingState;
         use hsp_http::{Handler, ResilientExchange, RetryPolicy};
         type Seat<E> = fn(&Arc<dyn Handler>, u64, &Arc<RetryStats>) -> AccountSeat<E>;
 
@@ -2190,11 +2095,11 @@ mod tests {
         let roster = s.roster();
         // Every fetch's exchange absorbed a shed: double the spacing
         // each time, up to the cap, and ledger the sheds.
-        let mut expected_ms = crawler.accounts[0].lock().unwrap().local_ms;
+        let mut expected_ms = crawler.accounts[0].lock().unwrap().clock.now_ms();
         for (k, &uid) in roster.iter().take(4).enumerate() {
             crawler.profile(uid).unwrap();
             expected_ms += base * (1u64 << k).min(cap);
-            assert_eq!(crawler.accounts[0].lock().unwrap().local_ms, expected_ms);
+            assert_eq!(crawler.accounts[0].lock().unwrap().clock.now_ms(), expected_ms);
         }
         assert_eq!(crawler.politeness_widen_factor(), cap);
         let snap = platform.obs.snapshot();

@@ -45,7 +45,7 @@
 
 use hsp_http::resilient::H_VIRTUAL_NOW;
 use hsp_http::{request_cookie, Request};
-use hsp_obs::trace::{fnv1a_chain, FNV_OFFSET};
+use hsp_obs::trace::{fnv1a_chain, splitmix64, FNV_OFFSET};
 use hsp_obs::{Counter, Registry};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -241,13 +241,6 @@ fn route_class(route: &str) -> Option<RouteClass> {
         "/message/:uid" => Some(RouteClass::Message),
         _ => None,
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// FNV-1a of `h ‖ v` (little-endian) from the offset basis — not a

@@ -532,9 +532,11 @@ pub fn summary(ctx: &mut Ctx) -> ExperimentReport {
 /// points are picked as fractions of the uninterrupted journal's
 /// committed record count, plus one torn-tail kill (the frame is cut
 /// mid-write), so the sweep tracks the world config instead of
-/// hard-coding offsets. The process-kill variant (a real child killed
-/// with SIGKILL) lives in `examples/crash.rs` / `scripts/crash.sh`,
-/// feeding `BENCH_crash.json`.
+/// hard-coding offsets. The process-kill variant lives in
+/// `examples/crash.rs` / `scripts/crash.sh`: a child attacker aborts
+/// itself with `std::process::abort` (SIGABRT) at the kill point and a
+/// successor process resumes it. Only a full run (no `--smoke`) appends
+/// to `BENCH_crash.json`.
 pub fn crash_recovery(ctx: &mut Ctx) -> ExperimentReport {
     use crate::crash_lab::{baseline, killed_and_resumed};
     use hsp_crawler::{recover, KillPlan};

@@ -35,7 +35,7 @@ use crate::error::{HttpError, Result};
 use crate::message::{Request, Response};
 use crate::resilient::{is_edge_limited, is_shed, H_TRACE_ID};
 use crate::types::Method;
-use hsp_obs::trace::{fnv1a_chain, SpanRecord, FNV_OFFSET, SLOT_CHAOS};
+use hsp_obs::trace::{fnv1a_chain, splitmix64, SpanRecord, FNV_OFFSET, SLOT_CHAOS};
 use hsp_obs::{FlightRecorder, TraceCtx, VirtualClock};
 use std::io::{ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,14 +124,6 @@ impl ChaosPlan {
             ..self.clone()
         }
     }
-}
-
-/// SplitMix64 finalizer — same mixing discipline as the fault engine.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// FNV-1a over method + target + body: the POST fingerprint.

@@ -10,6 +10,7 @@ use crate::router::Handler;
 use crate::types::Method;
 use crate::wire::{decode_response, encode_request, Decoded};
 use bytes::BytesMut;
+use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -17,8 +18,8 @@ use std::time::Duration;
 
 /// Portable per-exchange state for crash-resume: everything a restarted
 /// process needs to continue a lane's transport exactly where the dead
-/// one left off. Plain data — serialization lives with the journal.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// one left off. The crawl journal stores it as it is.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransportState {
     /// Cookie jar contents (the session cookie, chiefly).
     pub cookies: Vec<(String, String)>,

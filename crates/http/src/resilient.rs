@@ -27,8 +27,9 @@ use crate::client::Exchange;
 use crate::error::{HttpError, Result};
 use crate::message::{Request, Response};
 use crate::types::Method;
-use hsp_obs::trace::{SpanRecord, SLOT_ATTEMPT_BASE};
+use hsp_obs::trace::{splitmix64, SpanRecord, SLOT_ATTEMPT_BASE};
 use hsp_obs::{FlightRecorder, TraceCtx, VirtualClock};
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -259,18 +260,11 @@ pub struct RetryStats {
     /// 429s stamped `x-throttled` (sybil-detector throttle; subset of
     /// `rate_limited`).
     pub throttled: AtomicU64,
-    /// Pages re-fetched because their generation stamp went stale
-    /// mid-crawl (live-world consistency conflicts). Counted by the
-    /// crawler, not this layer — the stamp lives in the page body.
-    pub stale_refetches: AtomicU64,
-    /// Tombstone pages served for deactivated/graduated users. Counted
-    /// by the crawler alongside `stale_refetches`.
-    pub tombstones: AtomicU64,
 }
 
-/// Plain-data copy of [`RetryStats`] for journaling/restore across a
-/// process restart (serialization lives with the journal, not here).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Plain-data copy of [`RetryStats`] for restore across a process
+/// restart; the crawl journal stores it as it is.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryStatsSnapshot {
     pub retries: u64,
     pub rate_limited: u64,
@@ -282,8 +276,6 @@ pub struct RetryStatsSnapshot {
     pub edge_limited: u64,
     pub fault_rate_limited: u64,
     pub throttled: u64,
-    pub stale_refetches: u64,
-    pub tombstones: u64,
 }
 
 impl RetryStats {
@@ -300,8 +292,6 @@ impl RetryStats {
             edge_limited: self.edge_limited(),
             fault_rate_limited: self.fault_rate_limited(),
             throttled: self.throttled(),
-            stale_refetches: self.stale_refetches(),
-            tombstones: self.tombstones(),
         }
     }
 
@@ -317,8 +307,6 @@ impl RetryStats {
         self.edge_limited.store(snap.edge_limited, Ordering::Relaxed);
         self.fault_rate_limited.store(snap.fault_rate_limited, Ordering::Relaxed);
         self.throttled.store(snap.throttled, Ordering::Relaxed);
-        self.stale_refetches.store(snap.stale_refetches, Ordering::Relaxed);
-        self.tombstones.store(snap.tombstones, Ordering::Relaxed);
     }
 
     pub fn retries(&self) -> u64 {
@@ -359,14 +347,6 @@ impl RetryStats {
 
     pub fn throttled(&self) -> u64 {
         self.throttled.load(Ordering::Relaxed)
-    }
-
-    pub fn stale_refetches(&self) -> u64 {
-        self.stale_refetches.load(Ordering::Relaxed)
-    }
-
-    pub fn tombstones(&self) -> u64 {
-        self.tombstones.load(Ordering::Relaxed)
     }
 }
 
@@ -436,12 +416,9 @@ impl<E: Exchange> ResilientExchange<E> {
     }
 
     fn next_jitter(&mut self, ceiling: u64) -> u64 {
-        // splitmix64: cheap, seedable, good enough for jitter.
-        self.jitter_state = self.jitter_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.jitter_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        // The splitmix64 stream: cheap, seedable, good enough for jitter.
+        let z = splitmix64(self.jitter_state);
+        self.jitter_state = self.jitter_state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         // Full jitter in [1, ceiling]: always advances the clock so a
         // retry storm cannot happen "instantaneously".
         1 + z % ceiling.max(1)

@@ -1030,7 +1030,8 @@ mod tests {
 
         // Zero-rate: pages are byte-identical to the frozen platform's.
         let (_fp, frozen) = make(MutationPlan::none());
-        let (_zp, zeroed) = make(MutationPlan::lively().scaled(0.0));
+        let (_zp, zeroed) =
+            make(MutationPlan { enabled: true, horizon_ms: 7_200_000, ..MutationPlan::none() });
         let cf = login(&frozen, "spy");
         let cz = login(&zeroed, "spy");
         for path in ["/profile/u0", &format!("/find-friends?school={}", scenario.school)] {

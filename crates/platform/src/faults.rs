@@ -28,7 +28,7 @@ use hsp_http::resilient::{
     H_ATTEMPT_SEQ, H_FAULT_INJECTED, H_RETRY_AFTER, H_SIMULATED_FAULT, H_VIRTUAL_LATENCY_MS,
 };
 use hsp_http::{request_cookie, Request, Response, Status};
-use hsp_obs::trace::{fnv1a_chain, FNV_OFFSET};
+use hsp_obs::trace::{fnv1a_chain, splitmix64, FNV_OFFSET};
 use hsp_obs::Registry;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -125,14 +125,6 @@ impl FaultPlan {
             ..self.clone()
         }
     }
-}
-
-/// SplitMix64 finalizer — the mixing function behind every fault roll.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The fault stream a request draws from. Authenticated traffic is

@@ -39,7 +39,7 @@ use crate::search::SearchIndex;
 use hsp_graph::{
     Date, Gender, Network, PrivacySettings, ProfileContent, Registration, Role, User, UserId,
 };
-use hsp_obs::trace::{fnv1a_chain, SpanRecord, FNV_OFFSET, SLOT_MUTATION};
+use hsp_obs::trace::{fnv1a_chain, splitmix64, SpanRecord, FNV_OFFSET, SLOT_MUTATION};
 use hsp_obs::{Registry, TraceCtx, TRACE_SEED};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -110,40 +110,6 @@ impl MutationPlan {
     /// The explicit frozen-world plan (same as [`Default`]).
     pub fn none() -> MutationPlan {
         MutationPlan::default()
-    }
-
-    /// The canonical live profile used by the freshness experiment and
-    /// soak scripts: steady friending/defriending churn, occasional
-    /// privacy flips and deactivations, a trickle of signups, and one
-    /// graduation rollover an hour in.
-    pub fn lively() -> MutationPlan {
-        MutationPlan {
-            enabled: true,
-            horizon_ms: 7_200_000,
-            signup_per_mille: 5,
-            friend_per_mille: 40,
-            defriend_per_mille: 20,
-            privacy_flip_per_mille: 25,
-            deactivate_per_mille: 8,
-            rollover_at_ms: vec![3_600_000],
-            ..MutationPlan::default()
-        }
-    }
-
-    /// Scale every probabilistic mutation class by `factor` (1.0 =
-    /// as-is), clamped to valid per-mille. `0.0` yields a plan whose
-    /// engine is not live (empty schedule) when no rollovers are set.
-    pub fn scaled(&self, factor: f64) -> MutationPlan {
-        let scale = |pm: u32| ((pm as f64 * factor).round() as u32).min(1_000);
-        MutationPlan {
-            signup_per_mille: scale(self.signup_per_mille),
-            friend_per_mille: scale(self.friend_per_mille),
-            defriend_per_mille: scale(self.defriend_per_mille),
-            privacy_flip_per_mille: scale(self.privacy_flip_per_mille),
-            deactivate_per_mille: scale(self.deactivate_per_mille),
-            rollover_at_ms: if factor == 0.0 { Vec::new() } else { self.rollover_at_ms.clone() },
-            ..self.clone()
-        }
     }
 }
 
@@ -232,14 +198,6 @@ pub struct MutationEngine {
     base: Arc<WorldGen>,
     state: Mutex<EngineState>,
     obs: Arc<Registry>,
-}
-
-/// SplitMix64 finalizer (same mixing function as `FaultEngine`).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The `n`-th draw of the `key`-keyed stream — identical shape to
@@ -590,10 +548,6 @@ mod tests {
             base(),
             Registry::shared(),
         );
-        assert!(!eng.is_live());
-        // And scaling the lively plan to zero kills the schedule too.
-        let eng =
-            MutationEngine::new(MutationPlan::lively().scaled(0.0), base(), Registry::shared());
         assert!(!eng.is_live());
     }
 

@@ -10,6 +10,7 @@
 
 use crate::config::PlatformConfig;
 use hsp_graph::{Network, SchoolId, UserId};
+use hsp_obs::trace::splitmix64;
 use hsp_policy::Policy;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -148,18 +149,8 @@ impl Default for SearchIndex {
     }
 }
 
-/// SplitMix64 step.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 fn hash2(a: u64, b: u64) -> u64 {
-    let mut s = a.wrapping_mul(0x517c_c1b7_2722_0a95) ^ b;
-    splitmix(&mut s)
+    splitmix64(a.wrapping_mul(0x517c_c1b7_2722_0a95) ^ b)
 }
 
 /// Fisher–Yates with a splitmix stream — deterministic, independent of
@@ -167,7 +158,8 @@ fn hash2(a: u64, b: u64) -> u64 {
 fn deterministic_shuffle(items: &mut [UserId], seed: u64) {
     let mut state = seed;
     for i in (1..items.len()).rev() {
-        let j = (splitmix(&mut state) % (i as u64 + 1)) as usize;
+        let j = (splitmix64(state) % (i as u64 + 1)) as usize;
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         items.swap(i, j);
     }
 }

@@ -19,8 +19,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
-echo "==> HS1 sweeps with their gates (arms race, freshness, chaos, worker scaling, trace forensics) + tiny metro"
-cargo run --release -p hsp-experiments -- arms-race freshness chaos-sweep worker-scaling trace-forensics metro
+echo "==> HS1 sweeps with their gates (arms race, freshness, chaos, worker scaling, trace forensics) + tiny metro + crash-recovery kill sweep"
+cargo run --release -p hsp-experiments -- arms-race freshness chaos-sweep worker-scaling trace-forensics metro crash-recovery
 
 # The smoke runs below print their rows; the BENCH_*.json history
 # files must come out byte-identical.
