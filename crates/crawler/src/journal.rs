@@ -17,13 +17,21 @@
 //! - **One lane state**: a `Lane` record is the seat's own
 //!   [`LaneState`], which the seat keeps live; the scheduler keeps its
 //!   [`SchedState`] the same way. hsp-http's [`TransportState`] and
-//!   [`RetryStatsSnapshot`] are journaled as they are, so no type here
-//!   mirrors another crate's.
+//!   [`RetryStatsSnapshot`] are journaled field by field, so no type
+//!   here mirrors another crate's.
 //! - **Framing**: each record is `[u32 len][u64 seq][u32 crc][payload]`
 //!   (little-endian). The CRC covers the sequence number *and* the
 //!   payload, so a flipped byte anywhere in a frame — including its
 //!   header — is detected. `len` is validated implicitly: a corrupt
 //!   length re-frames the scan onto bytes whose CRC cannot match.
+//! - **Payload**: the record in a hand-written binary codec (a private
+//!   `codec` module; DESIGN.md §10 has the layout): a tag byte, then
+//!   the fields as LEB128 varints, length-prefixed UTF-8 and presence
+//!   bytes. Each record is encoded straight into the group buffer
+//!   behind its reserved header. Decoding is bounds-checked and accepts
+//!   only what encoding writes; a CRC-valid payload it refuses is a
+//!   [`JournalError::Decode`], never a panic. [`state_digest`] hashes
+//!   the same encoding.
 //! - **Group commit**: records buffer in memory and reach the file in
 //!   one `write` + `fdatasync` per committed group (one group per
 //!   crawler operation). A crash between groups loses at most the
@@ -53,11 +61,12 @@ use hsp_graph::{SchoolId, UserId};
 use hsp_http::{RetryStatsSnapshot, TransportState};
 use hsp_obs::trace::{fnv1a_chain, FNV_OFFSET};
 use hsp_obs::{Counter, Histogram, Registry};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+mod codec;
 
 /// Bytes of frame header: `u32` length + `u64` sequence + `u32` CRC.
 pub const FRAME_HEADER_BYTES: usize = 16;
@@ -112,8 +121,7 @@ fn crc_of(seq: u64, payload: &[u8]) -> u32 {
 #[derive(Debug)]
 pub enum JournalError {
     Io(std::io::Error),
-    Encode(String),
-    /// A frame with a valid CRC decoded to no known record shape.
+    /// A frame with a valid CRC whose payload the record codec refuses.
     Decode {
         seq: u64,
         detail: String,
@@ -138,7 +146,6 @@ impl std::fmt::Display for JournalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JournalError::Io(e) => write!(f, "journal io: {e}"),
-            JournalError::Encode(e) => write!(f, "journal encode: {e}"),
             JournalError::Decode { seq, detail } => {
                 write!(f, "journal decode at seq {seq}: {detail}")
             }
@@ -190,7 +197,7 @@ impl KillPlan {
 /// in virtual time and goes half-open; the next request is the probe.
 /// Only the thread driving the account touches it, so the live breaker
 /// and its journaled form are the same plain data.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BreakerState {
     pub consecutive: u32,
     pub open: bool,
@@ -218,12 +225,11 @@ impl BreakerState {
 
 /// One account lane's state: each seat keeps its own, and the crawler
 /// journals it at every commit boundary it moved across.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LaneState {
     /// Position in the scheduler's account vector (enrollment order).
     pub index: u64,
     pub username: String,
-    pub password: String,
     pub suspended: bool,
     pub effort: Effort,
     /// The seat's private [`hsp_obs::VirtualClock`] position, read from
@@ -236,9 +242,6 @@ pub struct LaneState {
     pub trace_ordinal: u64,
     /// The seat's exchange state, read from the exchange at each commit.
     pub transport: TransportState,
-    /// Omitted at its default, so a naive crawl's journal carries no
-    /// pacing bytes.
-    #[serde(default, skip_serializing_if = "PacingState::is_default")]
     pub pacing: PacingState,
 }
 
@@ -246,7 +249,7 @@ pub struct LaneState {
 /// the pushback widening state. Live on the account and journaled as
 /// is, so an adaptive or widened crawl resumes bit-identically. A naive
 /// crawl the platform never pushed back on stays at the default.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PacingState {
     /// Politeness draws taken from the adaptive jitter stream (also the
     /// warm-up counter).
@@ -262,14 +265,8 @@ pub struct PacingState {
     pub calm_streak: u32,
 }
 
-impl PacingState {
-    pub fn is_default(&self) -> bool {
-        *self == PacingState::default()
-    }
-}
-
 /// Scheduler-level resume state at a commit boundary.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SchedState {
     /// Round-robin cursor for the few non-batched requests (messages).
     pub rr: u64,
@@ -284,9 +281,9 @@ pub struct SchedState {
     pub retry_stats: RetryStatsSnapshot,
 }
 
-/// One committed circles page set (`(uid, incoming) -> members`), kept
-/// as a struct list rather than a tuple-keyed map for serialization.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// One committed circles page set (`(uid, incoming) -> members`);
+/// [`ResumeState::circles`] keeps them sorted by `(uid, incoming)`.
+#[derive(Clone, Debug, PartialEq)]
 pub struct CirclesEntry {
     pub uid: UserId,
     pub incoming: bool,
@@ -297,7 +294,7 @@ pub struct CirclesEntry {
 /// to resume bit-identically: what the crawl fetched, world-generation
 /// stamps, per-lane state, scheduler state. [`ResumeState::apply`] is
 /// its only transition, live and in recovery alike.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResumeState {
     /// The crawl's label; account usernames derive from it.
     pub label: String,
@@ -381,7 +378,7 @@ impl ResumeState {
 /// records carry what the crawl fetched; `Lane`/`Sched` carry the
 /// (small) mutable machine state; `Commit` seals a group; `Base` is a
 /// whole state, a journal's first record.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum JournalRecord {
     /// A whole state: the crawler's at enrollment, or the folded state
     /// of a recovered journal when [`Journal::create_with_base`] reopens
@@ -574,20 +571,25 @@ impl Journal {
         self.groups_committed
     }
 
-    fn encode_frame(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
-        let payload =
-            serde_json::to_string(record).map_err(|e| JournalError::Encode(e.to_string()))?;
-        let payload = payload.as_bytes();
+    /// Frame one record straight into `pending`: reserve the header,
+    /// encode the payload behind it, then patch in its length, sequence
+    /// number and CRC.
+    fn encode_frame(&mut self, record: &JournalRecord) {
+        let start = self.pending.len();
+        self.pending.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
+        codec::encode_record(record, &mut self.pending);
+        let (header, payload) = self.pending[start..].split_at_mut(FRAME_HEADER_BYTES);
+        assert!(
+            payload.len() <= MAX_FRAME_BYTES,
+            "a {} B journal record exceeds the {MAX_FRAME_BYTES} B frame bound recovery reads",
+            payload.len()
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let crc = crc_of(seq, payload);
-        let frame_len = FRAME_HEADER_BYTES + payload.len();
-        self.pending.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.pending.extend_from_slice(&seq.to_le_bytes());
-        self.pending.extend_from_slice(&crc.to_le_bytes());
-        self.pending.extend_from_slice(payload);
-        self.pending_records.push((self.pending.len(), frame_len));
-        Ok(())
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..12].copy_from_slice(&seq.to_le_bytes());
+        header[12..].copy_from_slice(&crc_of(seq, payload).to_le_bytes());
+        self.pending_records.push((self.pending.len(), self.pending.len() - start));
     }
 
     /// Fold `t0`'s elapsed time into the journal's own cost accounting
@@ -618,9 +620,9 @@ impl Journal {
             return Err(JournalError::Killed);
         }
         let t0 = std::time::Instant::now();
-        let r = self.encode_frame(record);
+        self.encode_frame(record);
         self.note_spent(t0);
-        r
+        Ok(())
     }
 
     /// Seal the current group with a `Commit` record and flush it to
@@ -630,9 +632,8 @@ impl Journal {
             return Err(JournalError::Killed);
         }
         let t0 = std::time::Instant::now();
-        let r = self
-            .encode_frame(&JournalRecord::Commit { op: op.to_string() })
-            .and_then(|()| self.flush_group());
+        self.encode_frame(&JournalRecord::Commit { op: op.to_string() });
+        let r = self.flush_group();
         self.note_spent(t0);
         r
     }
@@ -786,11 +787,8 @@ pub fn recover_bytes(buf: &[u8]) -> Result<RecoveredLog, JournalError> {
                         offset: off as u64,
                     });
                 }
-                let payload = &buf[payload_start..payload_start + payload_len];
-                let text = std::str::from_utf8(payload)
-                    .map_err(|e| JournalError::Decode { seq, detail: e.to_string() })?;
-                let record: JournalRecord = serde_json::from_str(text)
-                    .map_err(|e| JournalError::Decode { seq, detail: e.to_string() })?;
+                let record =
+                    codec::decode_record(seq, &buf[payload_start..payload_start + payload_len])?;
                 if matches!(record, JournalRecord::Commit { .. }) {
                     last_commit = Some(all.len());
                 }
@@ -871,10 +869,12 @@ pub fn fold_state(records: &[JournalRecord]) -> Result<Option<ResumeState>, Jour
     Ok(Some(state))
 }
 
-/// Payload digest of a resume state (diagnostics / test assertions).
+/// FNV-1a digest of a resume state's journal encoding (diagnostics /
+/// test assertions).
 pub fn state_digest(state: &ResumeState) -> u64 {
-    let value = serde_json::to_value(state).expect("resume state serializes");
-    fnv1a_chain(FNV_OFFSET, value.render_compact().as_bytes())
+    let mut bytes = Vec::new();
+    codec::encode_state(state, &mut bytes);
+    fnv1a_chain(FNV_OFFSET, &bytes)
 }
 
 #[cfg(test)]
@@ -921,12 +921,8 @@ mod tests {
     }
 
     #[test]
-    fn default_pacing_is_not_journaled() {
+    fn default_and_adaptive_pacing_round_trip() {
         let naive = LaneState { index: 3, ..Default::default() };
-        let text = serde_json::to_string(&naive).unwrap();
-        assert!(!text.contains("pacing"), "naive lanes keep their journal bytes: {text}");
-        let back: LaneState = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, naive);
         let pacing = PacingState {
             draws: 9,
             profiles: 4,
@@ -934,10 +930,13 @@ mod tests {
             widen_factor: 4,
             calm_streak: 1,
         };
-        let adaptive = LaneState { pacing, ..naive };
-        let back: LaneState =
-            serde_json::from_str(&serde_json::to_string(&adaptive).unwrap()).unwrap();
-        assert_eq!(back.pacing, pacing);
+        let adaptive = LaneState { pacing, ..naive.clone() };
+        for lane in [naive, adaptive] {
+            let record = JournalRecord::Lane { lane };
+            let mut payload = Vec::new();
+            codec::encode_record(&record, &mut payload);
+            assert_eq!(codec::decode_record(0, &payload).expect("lane decodes"), record);
+        }
     }
 
     #[test]
@@ -1342,7 +1341,6 @@ mod framing_proptests {
                     (draws, profiles, revisit, widen_factor, calm_streak),
                 )| LaneState {
                     index: index % 8,
-                    password: format!("{username}-pw"),
                     username,
                     suspended,
                     effort: Effort {
@@ -1576,6 +1574,275 @@ mod framing_proptests {
                 | Err(JournalError::Decode { .. }) => {}
                 Err(e) => panic!("offset {offset}: unexpected recovery error: {e}"),
             }
+        }
+    }
+
+    fn payload_of(record: &JournalRecord) -> Vec<u8> {
+        let mut payload = Vec::new();
+        codec::encode_record(record, &mut payload);
+        payload
+    }
+
+    /// The payload's decode error detail; panics if it decodes.
+    fn refusal(payload: &[u8]) -> String {
+        match codec::decode_record(9, payload) {
+            Err(JournalError::Decode { seq: 9, detail }) => detail,
+            other => panic!("{payload:?} was not refused: {other:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn codec_round_trips_every_record(record in arb_record()) {
+            let payload = payload_of(&record);
+            prop_assert_eq!(codec::decode_record(9, &payload).expect("record decodes"), record);
+            // Decoding consumes the whole payload: one byte more is refused.
+            let mut longer = payload;
+            longer.push(0);
+            prop_assert!(refusal(&longer).contains("trailing bytes"));
+        }
+
+        #[test]
+        fn every_strict_prefix_of_a_record_is_refused(record in arb_record()) {
+            let payload = payload_of(&record);
+            for cut in 0..payload.len() {
+                refusal(&payload[..cut]);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// Garbage behind a valid tag, so decoding gets past the tag.
+        /// A few such strings are records (a `Sched` is fifteen varints
+        /// in a row); the decoder accepts only the one encoding of a
+        /// record, so those must re-encode to the same bytes.
+        #[test]
+        fn arbitrary_bytes_are_refused_unless_they_encode_a_record(
+            tag in 0u8..8,
+            rest in proptest::collection::vec(0u8..=255, 0..128),
+        ) {
+            let mut payload = vec![tag];
+            payload.extend_from_slice(&rest);
+            if let Ok(record) = codec::decode_record(9, &payload) {
+                prop_assert_eq!(payload_of(&record), payload);
+            }
+        }
+    }
+
+    /// Extremes of every value type: `Some(u64::MAX)` in each
+    /// `Option<u64>`, `u64::MAX` counters, the `i32` bounds as grad
+    /// years and date years, empty and multi-byte UTF-8 strings, empty
+    /// maps and sets.
+    #[test]
+    fn codec_round_trips_edge_values() {
+        use crate::scrape::{ScrapedEduKind, ScrapedEducation};
+        use hsp_graph::{CityId, Date};
+        let max = u64::MAX;
+        let profile = |name: &str, grad_year, birthday, generation| ScrapedProfile {
+            uid: Some(UserId(max)),
+            name: name.into(),
+            gender: Some(String::new()),
+            networks: vec![SchoolId(u32::MAX), SchoolId(0)],
+            education: vec![ScrapedEducation {
+                school: SchoolId(u32::MAX),
+                kind: ScrapedEduKind::GraduateSchool,
+                grad_year,
+            }],
+            current_city: Some(CityId(u32::MAX)),
+            birthday: Some(birthday),
+            photos_shared: Some(u32::MAX),
+            wall_posts: Some(0),
+            wall_posters: vec![UserId(max), UserId(0)],
+            generation,
+            tombstoned: true,
+            ..ScrapedProfile::default()
+        };
+        let effort = Effort {
+            auth_requests: max,
+            seed_requests: max,
+            profile_requests: max,
+            friend_list_requests: max,
+            message_requests: max,
+            retry_requests: max,
+            captcha_challenges: max,
+            captcha_virtual_ms: max,
+            decoy_requests: max,
+            stale_refetch_requests: max,
+            tombstones: max,
+        };
+        let lane = |username: &str, cookie: &str, revisit| LaneState {
+            index: max,
+            username: username.into(),
+            suspended: true,
+            effort,
+            clock_ms: max,
+            breakers: [(String::new(), BreakerState { consecutive: u32::MAX, open: true })].into(),
+            trace_ordinal: max,
+            transport: TransportState {
+                cookies: vec![("sid".into(), cookie.into()), (String::new(), String::new())],
+                attempt_seq: max,
+                jitter_state: max,
+            },
+            pacing: PacingState {
+                draws: max,
+                profiles: max,
+                revisit,
+                widen_factor: max,
+                calm_streak: u32::MAX,
+            },
+        };
+        let sched = SchedState {
+            rr: max,
+            modeled_wall_ms: max,
+            recruited: max,
+            stale_refetches: max,
+            retry_stats: RetryStatsSnapshot {
+                retries: max,
+                rate_limited: max,
+                server_errors: max,
+                sheds: max,
+                resets: max,
+                deadlines_exceeded: max,
+                backoff_virtual_ms: max,
+                edge_limited: max,
+                fault_rate_limited: max,
+                throttled: max,
+            },
+        };
+        let first = profile("", Some(i32::MIN), Date::ymd(i32::MIN, 1, 1), Some(max));
+        let last = profile("Zoë 李 🎓", Some(i32::MAX), Date::ymd(i32::MAX, 12, 31), None);
+        let mut full = ResumeState {
+            label: "ünï-çødé".into(),
+            lanes: vec![lane("", "", Some(UserId(max))), lane("amélie-r7", "välue=ß", None)],
+            sched,
+            ..ResumeState::default()
+        };
+        full.seeds.insert(SchoolId(u32::MAX), vec![UserId(max)]);
+        full.seeds.insert(SchoolId(0), vec![]);
+        full.profiles.insert(UserId(max), first.clone());
+        full.friends.insert(UserId(max), Some(vec![]));
+        full.friends.insert(UserId(0), None);
+        full.circles.push(CirclesEntry { uid: UserId(max), incoming: true, members: Some(vec![]) });
+        full.incomplete.insert(UserId(max));
+        full.tombstoned.insert(UserId(0));
+        full.friends_gen.insert(UserId(max), max);
+        let records = vec![
+            JournalRecord::Base { state: ResumeState::default() },
+            JournalRecord::Commit { op: String::new() },
+            JournalRecord::Base { state: full },
+            JournalRecord::SeedsCollected { school: SchoolId(u32::MAX), seeds: vec![] },
+            JournalRecord::ProfileCommitted { uid: UserId(max), profile: first },
+            JournalRecord::ProfileCommitted { uid: UserId(0), profile: last },
+            JournalRecord::FriendsCommitted {
+                uid: UserId(max),
+                friends: Some(vec![]),
+                partial: true,
+                gen: Some(max),
+            },
+            JournalRecord::FriendsCommitted {
+                uid: UserId(0),
+                friends: None,
+                partial: false,
+                gen: None,
+            },
+            JournalRecord::CirclesCommitted { uid: UserId(max), incoming: false, members: None },
+            JournalRecord::Lane { lane: lane("", "", Some(UserId(max))) },
+            JournalRecord::Lane { lane: lane("amélie-r7", "välue=ß", None) },
+            JournalRecord::Sched { sched },
+            JournalRecord::Commit { op: "基".into() },
+        ];
+        for record in &records {
+            let payload = payload_of(record);
+            assert_eq!(&codec::decode_record(0, &payload).expect("edge record decodes"), record);
+        }
+        let log = recover_bytes(&encode_log(&records)).expect("edge log recovers");
+        assert_eq!(log.records, records);
+    }
+
+    /// Each thing the decoder refuses, in a hand-built payload.
+    #[test]
+    fn codec_refuses_malformed_payloads() {
+        let cases: [(&[u8], &str); 11] = [
+            (&[], "ends inside a value"),
+            (&[6, 0x80], "ends inside a value"),
+            (&[6, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02], "overflows 64 bits"),
+            // A zero-length op written as two bytes.
+            (&[7, 0x80, 0], "overlong varint"),
+            // School 2^32.
+            (&[1, 0x80, 0x80, 0x80, 0x80, 0x10, 0], "overflows u32"),
+            (&[8], "unknown record tag"),
+            // Circles `incoming` = 2, friends presence byte = 2.
+            (&[4, 0, 2, 0], "neither 0 nor 1"),
+            (&[3, 0, 2, 0, 0], "neither 0 nor 1"),
+            (&[7, 1, 0xff], "not UTF-8"),
+            (&[7, 5, b'a'], "runs past the payload end"),
+            (&[7, 0, 0], "trailing bytes"),
+        ];
+        for (payload, why) in cases {
+            let detail = refusal(payload);
+            assert!(detail.contains(why), "{payload:?}: {detail}");
+        }
+        // The rest patch one byte of an encoded record, `at` bytes into
+        // the first run of `needle`.
+        let patch = |record: &JournalRecord, needle: &[u8], at: usize, byte: u8| {
+            let mut payload = payload_of(record);
+            let pos = payload.windows(needle.len()).position(|w| w == needle).expect("needle");
+            payload[pos + at] = byte;
+            refusal(&payload)
+        };
+        use crate::scrape::{ScrapedEduKind, ScrapedEducation};
+        use hsp_graph::Date;
+        let profile = ScrapedProfile {
+            education: vec![ScrapedEducation {
+                school: SchoolId(0x55),
+                kind: ScrapedEduKind::GraduateSchool,
+                grad_year: None,
+            }],
+            birthday: Some(Date::ymd(2000, 1, 31)),
+            ..ScrapedProfile::default()
+        };
+        let profile = JournalRecord::ProfileCommitted { uid: UserId(0), profile };
+        // zigzag(2000) = 4000 = LEB128 [0xa0, 0x1f], then month 1, day
+        // 31: 2000-02-31 is no day. A kind byte past `GraduateSchool`.
+        assert!(patch(&profile, &[0xa0, 0x1f, 1, 31], 2, 2).contains("not a calendar day"));
+        assert!(patch(&profile, &[0x55, 2], 1, 3).contains("unknown education kind"));
+        // `incomplete` = {1, 2} written as [1, 1] and as [3, 2].
+        let mut state = ResumeState::default();
+        state.incomplete.extend([UserId(1), UserId(2)]);
+        let base = JournalRecord::Base { state };
+        assert!(patch(&base, &[2, 1, 2], 2, 1).contains("do not strictly ascend"));
+        assert!(patch(&base, &[2, 1, 2], 1, 3).contains("do not strictly ascend"));
+    }
+
+    /// A length prefix of 2^40 (LEB128: five 0x80 bytes, then 0x20) is
+    /// refused before a string or vector of that size is allocated.
+    #[test]
+    fn a_huge_length_prefix_is_refused_before_allocating() {
+        const TWO_POW_40: [u8; 6] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x20];
+        for head in [&[7u8][..], &[1, 0]] {
+            let mut payload = head.to_vec();
+            payload.extend_from_slice(&TWO_POW_40);
+            payload.extend_from_slice(b"short");
+            assert!(refusal(&payload).contains("runs past the payload end"));
+        }
+    }
+
+    /// A frame whose CRC holds but whose payload is no record (here a
+    /// record of the old JSON journal) is a decode error, not a torn tail.
+    #[test]
+    fn a_crc_valid_frame_of_garbage_is_a_decode_error() {
+        let payload = br#"{"Commit":{"op":"base"}}"#;
+        let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        buf.extend_from_slice(&crc_of(0, payload).to_le_bytes());
+        buf.extend_from_slice(payload);
+        match recover_bytes(&buf) {
+            Err(JournalError::Decode { seq: 0, .. }) => {}
+            other => panic!("expected Decode at seq 0, got {other:?}"),
         }
     }
 }

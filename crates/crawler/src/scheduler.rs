@@ -70,6 +70,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+/// Every seat's password. Sign-up and login read it; no lane journals
+/// it, since a resumed seat logs in with the same one.
+const SEAT_PASSWORD: &str = "hunter2";
+
 /// One account's transport plus its private timeline. The clock must
 /// be **per account** (not shared with other accounts): the resilient
 /// layer charges backoff and absorbed latency to it, and sharing one
@@ -367,10 +371,8 @@ impl<E: Exchange> AccountWorker<E> {
 
     /// One auth POST, with its transport-error resends.
     fn auth_once(&mut self, path: &str, shared: &Shared) -> Result<Response, CrawlError> {
-        let mut req = Request::post_form(
-            path,
-            &[("user", &self.lane.username), ("pass", &self.lane.password)],
-        );
+        let mut req =
+            Request::post_form(path, &[("user", &self.lane.username), ("pass", SEAT_PASSWORD)]);
         let trace = self.next_trace_ctx(shared);
         if let Some((_, ctx)) = &trace {
             req = req.header(H_TRACE_ID, ctx.header_value());
@@ -1007,12 +1009,8 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
 
     /// Sign up and log in one seat, then add it to the fleet.
     fn enroll(&mut self, seat: AccountSeat<E>, username: String) -> Result<(), CrawlError> {
-        let lane = LaneState {
-            index: self.accounts.len() as u64,
-            username,
-            password: "hunter2".to_string(),
-            ..LaneState::default()
-        };
+        let lane =
+            LaneState { index: self.accounts.len() as u64, username, ..LaneState::default() };
         let mut worker = AccountWorker::new(seat, lane);
         worker.enroll(&self.shared)?;
         self.accounts.push(Mutex::new(worker));

@@ -10,7 +10,6 @@ use crate::router::Handler;
 use crate::types::Method;
 use crate::wire::{decode_response, encode_request, Decoded};
 use bytes::BytesMut;
-use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -18,8 +17,8 @@ use std::time::Duration;
 
 /// Portable per-exchange state for crash-resume: everything a restarted
 /// process needs to continue a lane's transport exactly where the dead
-/// one left off. The crawl journal stores it as it is.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// one left off. The crawl journal encodes its public fields directly.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TransportState {
     /// Cookie jar contents (the session cookie, chiefly).
     pub cookies: Vec<(String, String)>,

@@ -29,7 +29,6 @@ use crate::message::{Request, Response};
 use crate::types::Method;
 use hsp_obs::trace::{splitmix64, SpanRecord, SLOT_ATTEMPT_BASE};
 use hsp_obs::{FlightRecorder, TraceCtx, VirtualClock};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -263,8 +262,8 @@ pub struct RetryStats {
 }
 
 /// Plain-data copy of [`RetryStats`] for restore across a process
-/// restart; the crawl journal stores it as it is.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// restart; the crawl journal encodes its public fields directly.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RetryStatsSnapshot {
     pub retries: u64,
     pub rate_limited: u64,

@@ -35,7 +35,14 @@ cargo run --release --example crash -- --smoke
 echo "==> smoke runs left BENCH_*.json unchanged"
 echo "$bench_sums" | sha256sum --check --quiet
 
+# The attackbench build must find its committed lock file complete: a
+# dependency edge missing from it would be added on every build.
+lock_sum="$(sha256sum attackbench/Cargo.lock)"
+
 echo "==> attackbench self-test (pinned tiny outcomes, live state digest, world_at replay)"
 cargo run --release --offline --quiet --manifest-path attackbench/Cargo.toml -- --self-test
+
+echo "==> the attackbench build left attackbench/Cargo.lock unchanged"
+echo "$lock_sum" | sha256sum --check --quiet
 
 echo "All checks passed."
