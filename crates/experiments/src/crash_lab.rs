@@ -1,5 +1,8 @@
 //! Crash-only attacker harness: kill-point injection over a journaled
 //! parallel crawl, and bit-identical resume from the durable journal.
+//! In-process, the seats reach the lab's handler directly;
+//! [`attack_over_tcp`] runs the same startup path as a separate
+//! attacker process would, over a loopback [`Client`].
 //!
 //! The model: the *attacker's process* dies (power cut, OOM kill,
 //! operator ctrl-C) at an arbitrary journal byte boundary; the platform
@@ -26,19 +29,20 @@ use hsp_crawler::{
     JournalMetrics, KillPlan, OsnAccess, ParallelCrawler, ResumeState, LANE_RECOVERY,
 };
 use hsp_graph::UserId;
-use hsp_http::{DirectExchange, Handler, ResilientExchange, RetryPolicy, RetryStats};
+use hsp_http::{Client, DirectExchange, Exchange, ResilientExchange, RetryPolicy, RetryStats};
 use hsp_obs::trace::{fnv1a_chain, FNV_OFFSET};
 use hsp_obs::{FlightRecorder, SpanRecord, VirtualClock};
 use hsp_platform::{FaultPlan, PlatformConfig};
 use hsp_synth::ScenarioConfig;
+use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Fake accounts the crash attacker starts with (the paper's HS1 pair).
-pub const CRASH_ACCOUNTS: usize = 2;
+const CRASH_ACCOUNTS: usize = 2;
 /// Recruitment cap (the 2→4→8 escalation).
-pub const CRASH_MAX_ACCOUNTS: usize = 8;
+const CRASH_MAX_ACCOUNTS: usize = 8;
 /// Per-lane flight-recorder ring capacity for crash trials.
 pub const CRASH_TRACE_CAP: usize = 16_384;
 /// Group-commit batching: fdatasync every n-th committed group. The
@@ -51,7 +55,7 @@ pub const CRASH_TRACE_CAP: usize = 16_384;
 /// already in the page cache).
 pub const CRASH_SYNC_EVERY: u64 = 64;
 
-type CrashExchange = ResilientExchange<DirectExchange>;
+type CrashExchange = ResilientExchange<Box<dyn Exchange + Send>>;
 
 /// A crash trial's platform: chaos faults armed **and** a live
 /// (mutating) world — the hardest setting the determinism gates cover —
@@ -70,7 +74,7 @@ pub fn crash_lab(cfg: &ScenarioConfig, churn: f64) -> Lab {
 
 /// One finished (baseline or resumed) attack, reduced to the three
 /// equality gates plus journal cost accounting.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CrashOutcome {
     /// Students identified at t = enrollment estimate.
     pub found: usize,
@@ -83,11 +87,15 @@ pub struct CrashOutcome {
     pub trace_digest: u64,
     /// Final journal size on disk (0 for un-journaled baselines).
     pub journal_bytes: u64,
+    /// The journal's own write-path clock ([`Journal::time_spent`])
+    /// after a final sync: encode, group flushes, fdatasync, reopen.
+    /// Zero for un-journaled baselines.
+    pub journal_write: Duration,
 }
 
 /// One kill-point trial: where it died, what recovery saw, and the
 /// resumed run's outcome.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct KillTrial {
     pub kill_after: u64,
     /// The kill point lay beyond the journal's natural length, so the
@@ -108,7 +116,7 @@ pub struct KillTrial {
 
 /// FNV-1a over one attack's Table-2/Table-4 outputs: the seed, core
 /// and candidate counts, the exact ranked guess list, the eval triple.
-pub fn outcome_digest(discovery: &Discovery, guessed: &[UserId], eval: &EvalPoint) -> u64 {
+fn outcome_digest(discovery: &Discovery, guessed: &[UserId], eval: &EvalPoint) -> u64 {
     let head = [
         discovery.seeds.len() as u64,
         discovery.core.len() as u64,
@@ -123,7 +131,7 @@ pub fn outcome_digest(discovery: &Discovery, guessed: &[UserId], eval: &EvalPoin
 }
 
 fn make_seat(
-    handler: &Arc<dyn Handler>,
+    wire: Box<dyn Exchange + Send>,
     tracer: &Arc<FlightRecorder>,
     stats: &Arc<RetryStats>,
     seed: u64,
@@ -132,7 +140,7 @@ fn make_seat(
     let clock = VirtualClock::shared();
     AccountSeat {
         exchange: ResilientExchange::with_stats(
-            DirectExchange::new(Arc::clone(handler)),
+            wire,
             RetryPolicy::seeded(seed ^ i),
             Arc::clone(&clock),
             Arc::clone(stats),
@@ -143,13 +151,16 @@ fn make_seat(
     }
 }
 
-/// The crash attacker's settings: retry seed, worker threads, and the
-/// adaptive strategy (`None` = naive pacing).
+/// The crash attacker's settings: retry seed, worker threads, the
+/// adaptive strategy (`None` = naive pacing), and the seats' wire: the
+/// lab's handler (`tcp` is `None`), or a loopback [`Client`] to the
+/// platform served at `tcp`.
 #[derive(Clone, Copy)]
 struct Fleet {
     seed: u64,
     workers: usize,
     adaptive: Option<AdaptiveStrategy>,
+    tcp: Option<SocketAddr>,
 }
 
 /// Build the crash attacker over `lab`: fresh (`resume` is `None`;
@@ -166,9 +177,15 @@ fn build(
     resume: Option<&ResumeState>,
     journal: Option<Journal>,
 ) -> Result<ParallelCrawler<CrashExchange>, CrawlError> {
-    let Fleet { seed, workers, adaptive } = fleet;
+    let Fleet { seed, workers, adaptive, tcp } = fleet;
     let stats = Arc::new(RetryStats::default());
     let handler = lab.handler();
+    let wire = move || -> Box<dyn Exchange + Send> {
+        match tcp {
+            Some(addr) => Box::new(Client::new(addr)),
+            None => Box::new(DirectExchange::new(Arc::clone(&handler))),
+        }
+    };
     let tracer = Arc::clone(lab.obs.tracer());
     let (lanes, recruited) =
         resume.map_or((CRASH_ACCOUNTS, 0), |s| (s.lanes.len(), s.sched.recruited));
@@ -180,14 +197,14 @@ fn build(
         }
     };
     let seats: Vec<_> =
-        (0..lanes).map(|i| make_seat(&handler, &tracer, &stats, seed, seat_index(i))).collect();
+        (0..lanes).map(|i| make_seat(wire(), &tracer, &stats, seed, seat_index(i))).collect();
     let factory = {
-        let (handler, tracer, stats) = (handler, tracer, Arc::clone(&stats));
+        let (tracer, stats) = (tracer, Arc::clone(&stats));
         // The original factory had handed out `recruited` seats already.
         let mut next = CRASH_ACCOUNTS as u64 + recruited;
         move || {
             next += 1;
-            make_seat(&handler, &tracer, &stats, seed, next)
+            make_seat(wire(), &tracer, &stats, seed, next)
         }
     };
     let mut builder = ParallelCrawler::builder("crash")
@@ -207,15 +224,31 @@ fn build(
     }
 }
 
-/// Drive the full basic + enhanced methodology and reduce to
-/// `(outcome digest, found)`.
-fn drive(lab: &Lab, access: &mut dyn OsnAccess) -> Result<(u64, usize), CrawlError> {
-    let (config, discovery, _, enhanced) = attack_phases(lab, access)?;
+/// Drive the full basic + enhanced methodology over `crawler` and
+/// reduce it to a [`CrashOutcome`]. A journal is synced first, so its
+/// write-path clock covers the whole durable run.
+fn drive(
+    lab: &Lab,
+    mut crawler: ParallelCrawler<CrashExchange>,
+    journal_path: Option<&Path>,
+) -> Result<CrashOutcome, CrawlError> {
+    let (config, discovery, _, enhanced) = attack_phases(lab, &mut crawler)?;
     let t = config.school_size_estimate as usize;
     let truth = lab.ground_truth();
     let guessed: Vec<UserId> = enhanced.guessed_students(t);
     let eval = evaluate(t, &guessed, |u| enhanced.inferred_year(u, &config), &truth);
-    Ok((outcome_digest(&discovery, &guessed, &eval), eval.found))
+    let journal_write = crawler.journal_mut().map_or(Duration::ZERO, |journal| {
+        journal.sync().expect("final journal sync");
+        journal.time_spent()
+    });
+    Ok(CrashOutcome {
+        found: eval.found,
+        effort: crawler.effort(),
+        digest: outcome_digest(&discovery, &guessed, &eval),
+        trace_digest: lab.obs.tracer().digest_excluding(&[LANE_RECOVERY]),
+        journal_bytes: journal_path.map_or(0, file_bytes),
+        journal_write,
+    })
 }
 
 fn file_bytes(path: &Path) -> u64 {
@@ -248,22 +281,14 @@ pub fn baseline_on(
     lab.obs.enable_tracing(CRASH_TRACE_CAP);
     let journal = journal_path
         .map(|p| Journal::create(p).expect("baseline journal").with_sync_every(CRASH_SYNC_EVERY));
-    let fleet = Fleet { seed, workers, adaptive };
-    let mut crawler = build(lab, fleet, None, journal).expect("baseline crawler");
-    let (digest, found) = drive(lab, &mut crawler).expect("baseline attack");
-    CrashOutcome {
-        found,
-        effort: crawler.effort(),
-        digest,
-        trace_digest: lab.obs.tracer().digest_excluding(&[LANE_RECOVERY]),
-        journal_bytes: journal_path.map(file_bytes).unwrap_or(0),
-    }
+    let fleet = Fleet { seed, workers, adaptive, tcp: None };
+    let crawler = build(lab, fleet, None, journal).expect("baseline crawler");
+    drive(lab, crawler, journal_path).expect("baseline attack")
 }
 
 /// Run the crash-only startup path: recover whatever the journal holds
 /// (a missing or empty file is a legal empty log), then either resume
 /// or start fresh — the startup path *is* the recovery path.
-#[allow(clippy::type_complexity)]
 fn attempt(
     lab: &Lab,
     fleet: Fleet,
@@ -271,7 +296,7 @@ fn attempt(
     metrics: &JournalMetrics,
     kill: Option<KillPlan>,
     trial: &mut KillTrial,
-) -> Result<(u64, usize, Effort), CrawlError> {
+) -> Result<CrashOutcome, CrawlError> {
     let t0 = Instant::now();
     let log = recover_instrumented(path, metrics).expect("journal recovery");
     let state = fold_state(&log.records).expect("journal fold");
@@ -308,9 +333,8 @@ fn attempt(
             captcha_ms: 0,
         });
     }
-    let mut crawler = build(lab, fleet, state.as_ref(), Some(journal))?;
-    let (digest, found) = drive(lab, &mut crawler)?;
-    Ok((digest, found, crawler.effort()))
+    let crawler = build(lab, fleet, state.as_ref(), Some(journal))?;
+    drive(lab, crawler, Some(path))
 }
 
 /// Kill the attacker at `kill` (a lifetime journal-record kill point,
@@ -342,35 +366,14 @@ pub fn killed_and_resumed_on(
     let _ = std::fs::remove_file(path);
     lab.obs.enable_tracing(CRASH_TRACE_CAP);
     let metrics = JournalMetrics::register(&lab.obs);
-    let mut trial = KillTrial {
-        kill_after: kill.after_records,
-        completed_before_kill: false,
-        resumes: 0,
-        recovered_records: 0,
-        discarded_records: 0,
-        torn_bytes: 0,
-        recovery_us: 0,
-        outcome: CrashOutcome {
-            found: 0,
-            effort: Effort::default(),
-            digest: 0,
-            trace_digest: 0,
-            journal_bytes: 0,
-        },
-    };
+    let mut trial = KillTrial { kill_after: kill.after_records, ..KillTrial::default() };
     let mut kill = Some(kill);
     loop {
-        let fleet = Fleet { seed, workers, adaptive };
+        let fleet = Fleet { seed, workers, adaptive, tcp: None };
         match attempt(lab, fleet, path, &metrics, kill.take(), &mut trial) {
-            Ok((digest, found, effort)) => {
+            Ok(outcome) => {
                 trial.completed_before_kill = trial.resumes == 0;
-                trial.outcome = CrashOutcome {
-                    found,
-                    effort,
-                    digest,
-                    trace_digest: lab.obs.tracer().digest_excluding(&[LANE_RECOVERY]),
-                    journal_bytes: file_bytes(path),
-                };
+                trial.outcome = outcome;
                 return trial;
             }
             Err(CrawlError::BadPage("journal kill point")) => {
@@ -384,46 +387,28 @@ pub fn killed_and_resumed_on(
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("hsp-crash-lab-tests");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        dir.join(name)
-    }
-
-    #[test]
-    fn journaling_never_changes_results() {
-        let cfg = ScenarioConfig::tiny();
-        let path = tmp("plain.journal");
-        let bare = baseline(&cfg, 0xC4A5, 2, 1.0, None);
-        let journaled = baseline(&cfg, 0xC4A5, 2, 1.0, Some(&path));
-        assert_eq!(bare.digest, journaled.digest);
-        assert_eq!(bare.effort, journaled.effort);
-        assert_eq!(bare.trace_digest, journaled.trace_digest);
-        assert!(journaled.journal_bytes > 0);
-    }
-
-    #[test]
-    fn kill_and_resume_is_bit_identical_under_chaos_and_churn() {
-        let cfg = ScenarioConfig::tiny();
-        let yardstick = baseline(&cfg, 0xC4A5, 2, 1.0, None);
-        for (label, kill) in
-            [("clean-cut", KillPlan::after(40)), ("torn-tail", KillPlan::torn(120, 7))]
-        {
-            let path = tmp(&format!("{label}.journal"));
-            let trial = killed_and_resumed(&cfg, 0xC4A5, 2, 1.0, kill, &path);
-            assert!(!trial.completed_before_kill, "{label}: kill point never fired");
-            assert_eq!(trial.resumes, 1, "{label}");
-            assert_eq!(trial.outcome.digest, yardstick.digest, "{label}: outcome digest drifted");
-            assert_eq!(trial.outcome.effort, yardstick.effort, "{label}: effort ledger drifted");
-            assert_eq!(
-                trial.outcome.trace_digest, yardstick.trace_digest,
-                "{label}: trace digest drifted"
-            );
-            assert!(trial.recovered_records > 0, "{label}");
-        }
-    }
+/// One attacker *process* against the platform served at `addr`: the
+/// crash-only startup path (recover → fold → reopen → build → drive)
+/// with every seat on a loopback [`Client`], as a separate process runs
+/// it. `lab` is this process's copy of the world, for the attack's
+/// configuration and scoring; its own platform serves nothing. The
+/// trial covers this process alone: `resumes` stays 0, and the
+/// recovery fields say what its startup recovered (zeros on a fresh
+/// start). `Err(CrawlError::BadPage("journal kill point"))` means
+/// `kill` fired; the process must then die without unwinding.
+pub fn attack_over_tcp(
+    lab: &Lab,
+    addr: SocketAddr,
+    seed: u64,
+    workers: usize,
+    kill: Option<KillPlan>,
+    path: &Path,
+) -> Result<KillTrial, CrawlError> {
+    let metrics = JournalMetrics::register(&lab.obs);
+    let mut trial =
+        KillTrial { kill_after: kill.map_or(0, |k| k.after_records), ..KillTrial::default() };
+    let fleet = Fleet { seed, workers, adaptive: None, tcp: Some(addr) };
+    trial.outcome = attempt(lab, fleet, path, &metrics, kill, &mut trial)?;
+    trial.completed_before_kill = kill.is_some();
+    Ok(trial)
 }

@@ -44,7 +44,6 @@ impl Ctx {
             "HS2" => ScenarioConfig::hs2(),
             "HS3" => ScenarioConfig::hs3(),
             "TINY" => ScenarioConfig::tiny(),
-            "BENCH" => ScenarioConfig::bench(),
             other => panic!("unknown school {other}"),
         }
     }

@@ -532,13 +532,17 @@ pub fn summary(ctx: &mut Ctx) -> ExperimentReport {
 /// points are picked as fractions of the uninterrupted journal's
 /// committed record count, plus one torn-tail kill (the frame is cut
 /// mid-write), so the sweep tracks the world config instead of
-/// hard-coding offsets. The process-kill variant lives in
-/// `examples/crash.rs` / `scripts/crash.sh`: a child attacker aborts
-/// itself with `std::process::abort` (SIGABRT) at the kill point and a
-/// successor process resumes it. Only a full run (no `--smoke`) appends
-/// to `BENCH_crash.json`.
+/// hard-coding offsets. The real process kill (SIGABRT, a successor
+/// process resuming over TCP) is `tests/crash_recovery.rs`.
+///
+/// Gate on the journal's cost: eight journaled attacks over loopback
+/// TCP, each on a fresh lab. For each, the journal's own write-path
+/// clock after a final sync is divided by the attack's wall time
+/// (recover, build, crawl); the median must be at most 5%. Journals
+/// live on `/dev/shm` when it exists: on a disk-backed `/tmp` each
+/// fdatasync measures the disk, not the journal.
 pub fn crash_recovery(ctx: &mut Ctx) -> ExperimentReport {
-    use crate::crash_lab::{baseline, killed_and_resumed};
+    use crate::crash_lab::{attack_over_tcp, baseline, crash_lab, killed_and_resumed};
     use hsp_crawler::{recover, KillPlan};
     // Fresh labs per trial (the trial shares one platform between the
     // killed run and its resume); the shared Ctx caches don't apply.
@@ -546,8 +550,12 @@ pub fn crash_recovery(ctx: &mut Ctx) -> ExperimentReport {
     const SEED: u64 = 0xC4A5;
     const WORKERS: usize = 2;
     const CHURN: f64 = 1.0;
+    const CEILING_REPS: usize = 8;
+    const MAX_JOURNAL_PCT: f64 = 5.0;
     let cfg = Ctx::config_for("TINY");
-    let dir = std::env::temp_dir().join("hsp-crash-recovery");
+    let shm = std::path::Path::new("/dev/shm");
+    let tmp = if shm.is_dir() { shm.to_path_buf() } else { std::env::temp_dir() };
+    let dir = tmp.join("hsp-crash-recovery");
     std::fs::create_dir_all(&dir).expect("crash-recovery tmp dir");
 
     // Yardsticks: the un-journaled run the digests must converge to,
@@ -621,11 +629,42 @@ pub fn crash_recovery(ctx: &mut Ctx) -> ExperimentReport {
             "bit_identical": identical,
         }));
     }
+
+    let tcp_path = dir.join("tcp.journal");
+    let write_pcts: Vec<f64> = (0..CEILING_REPS)
+        .map(|rep| {
+            let mut lab = crash_lab(&cfg, CHURN);
+            let addr = lab.serve().expect("serve the crash lab");
+            let _ = std::fs::remove_file(&tcp_path);
+            let started = std::time::Instant::now();
+            let trial = attack_over_tcp(&lab, addr, SEED, WORKERS, None, &tcp_path)
+                .expect("journaled TCP attack");
+            let wall = started.elapsed();
+            assert_eq!(trial.outcome.digest, bare.digest, "TCP rep {rep}: outcome digest drifted");
+            assert_eq!(trial.outcome.effort, bare.effort, "TCP rep {rep}: effort ledger drifted");
+            trial.outcome.journal_write.as_secs_f64() / wall.as_secs_f64() * 100.0
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut sorted = write_pcts.clone();
+    sorted.sort_by(f64::total_cmp);
+    let median = sorted[CEILING_REPS / 2];
+    assert!(
+        median <= MAX_JOURNAL_PCT,
+        "journal write path {median:.2}% of attack wall exceeds the {MAX_JOURNAL_PCT:.1}% \
+         ceiling (per rep: {write_pcts:.2?})"
+    );
+    let text = format!(
+        "{}\nJournal write path over loopback TCP: median {median:.2}% of attack wall \
+         ({CEILING_REPS} journaled attacks, journals in {}; ceiling {MAX_JOURNAL_PCT:.1}%).\n",
+        table.render(),
+        tmp.display(),
+    );
     ExperimentReport::new(
         "crash-recovery",
         "Crash-only attacker: kill-point sweep, journal recovery, bit-identical resume \
          (TINY world, chaos faults + live churn)",
-        table.render(),
+        text,
         json!({
             "committed_records": committed,
             "baseline_journal_bytes": journaled.journal_bytes,
@@ -633,6 +672,8 @@ pub fn crash_recovery(ctx: &mut Ctx) -> ExperimentReport {
             "yardstick_trace_digest": format!("{:016x}", bare.trace_digest),
             "found": bare.found,
             "points": points,
+            "journal_write_pct_median": median,
+            "journal_write_pct": write_pcts,
         }),
     )
 }

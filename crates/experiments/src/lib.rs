@@ -4,13 +4,14 @@
 //! index), plus extension experiments (Jaccard hidden-link inference),
 //! ablations (lying rate, ε, filter rules, account count) and the gated
 //! HS1 sweeps (arms race, freshness, chaos, worker scaling, trace
-//! forensics). The `experiments` binary drives them.
+//! forensics, the soak). The `experiments` binary drives them.
 
 pub mod asciiplot;
 pub mod crash_lab;
 pub mod ctx;
 pub mod exp_extra;
 pub mod exp_figures;
+pub mod exp_soak;
 pub mod exp_sweeps;
 pub mod exp_tables;
 pub mod exp_threats;
@@ -54,6 +55,7 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "chaos-sweep",
     "worker-scaling",
     "trace-forensics",
+    "soak",
     "metro",
     "crash-recovery",
 ];
@@ -91,6 +93,7 @@ pub fn run_experiment(ctx: &mut Ctx, id: &str) -> Option<ExperimentReport> {
         "chaos-sweep" => exp_sweeps::chaos_sweep(ctx),
         "worker-scaling" => exp_sweeps::worker_scaling(ctx),
         "trace-forensics" => exp_sweeps::trace_forensics(ctx),
+        "soak" => exp_soak::soak(ctx),
         "metro" => exp_extra::metro(ctx),
         "crash-recovery" => exp_extra::crash_recovery(ctx),
         _ => return None,

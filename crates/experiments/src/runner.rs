@@ -159,16 +159,7 @@ impl Lab {
     /// Start a real loopback HTTP server for this lab (TCP mode),
     /// wired into the lab's registry.
     pub fn serve(&mut self) -> std::io::Result<std::net::SocketAddr> {
-        let _span = phase_span(&self.obs, "serve");
-        let config = ServerConfig {
-            metrics: Some(Arc::clone(&self.obs)),
-            thread_name_prefix: "hsp-lab".to_string(),
-            ..ServerConfig::default()
-        };
-        let server = Server::start_with(self.handler.clone(), config)?;
-        let addr = server.addr();
-        self.server = Some(server);
-        Ok(addr)
+        self.serve_hardened(ServerConfig::default())
     }
 
     /// Like [`Lab::serve`] but with a caller-supplied (typically

@@ -41,6 +41,6 @@ pub use resilient::{
     RetryStats, RetryStatsSnapshot, H_ATTEMPT_SEQ, H_TRACE_ID,
 };
 pub use router::{Handler, PathParams, Router};
-pub use server::{AccessLogFn, AccessRecord, RateLimit, Server, ServerConfig};
+pub use server::{RateLimit, Server, ServerConfig};
 pub use types::{Headers, Method, Status};
 pub use uri::{build_query, parse_query, percent_decode, percent_encode, url, Target};

@@ -62,21 +62,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One served request, as seen by the [`ServerConfig::access_log`] hook.
-#[derive(Clone, Copy, Debug)]
-pub struct AccessRecord<'a> {
-    pub method: Method,
-    /// Raw request target (path + query), before routing.
-    pub target: &'a str,
-    pub status: u16,
-    pub latency_us: u64,
-    pub request_bytes: u64,
-    pub response_bytes: u64,
-}
-
-/// Access-log callback; invoked after each response is written.
-pub type AccessLogFn = Arc<dyn Fn(&AccessRecord<'_>) + Send + Sync>;
-
 /// Per-client token-bucket rate limit, enforced at the edge before the
 /// handler runs. This is the platform-side countermeasure the paper's
 /// §8 discussion calls for: a crawler exceeding it sees `429` +
@@ -125,8 +110,6 @@ pub struct ServerConfig {
     pub thread_name_prefix: String,
     /// Metrics registry; `None` disables transport telemetry.
     pub metrics: Option<Arc<Registry>>,
-    /// Per-request access-log hook.
-    pub access_log: Option<AccessLogFn>,
 }
 
 impl Default for ServerConfig {
@@ -143,7 +126,6 @@ impl Default for ServerConfig {
             rate_limit: None,
             thread_name_prefix: "hsp-http".to_string(),
             metrics: None,
-            access_log: None,
         }
     }
 }
@@ -162,7 +144,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("rate_limit", &self.rate_limit)
             .field("thread_name_prefix", &self.thread_name_prefix)
             .field("metrics", &self.metrics.is_some())
-            .field("access_log", &self.access_log.is_some())
             .finish()
     }
 }
@@ -294,7 +275,6 @@ struct ConnContext {
     /// Flight recorder from [`ServerConfig::metrics`]: edge refusals
     /// never reach a handler, so the edge annotates its own spans.
     tracer: Option<Arc<FlightRecorder>>,
-    access_log: Option<AccessLogFn>,
 }
 
 /// A running HTTP server. Shuts down (and joins its threads) on drop.
@@ -334,7 +314,6 @@ impl Server {
             shared: Arc::clone(&shared),
             metrics: config.metrics.as_deref().map(ServerMetrics::register),
             tracer: config.metrics.as_ref().map(|r| Arc::clone(r.tracer())),
-            access_log: config.access_log.clone(),
         });
 
         let mut workers = Vec::with_capacity(config.workers);
@@ -610,16 +589,6 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> Result<(), Http
                                     wire.len() as u64,
                                 );
                             }
-                            if let Some(log) = &ctx.access_log {
-                                log(&AccessRecord {
-                                    method: req.method,
-                                    target: &req.target,
-                                    status: resp.status.code(),
-                                    latency_us,
-                                    request_bytes: req_bytes,
-                                    response_bytes: wire.len() as u64,
-                                });
-                            }
                             if close {
                                 return Ok(());
                             }
@@ -651,16 +620,6 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> Result<(), Http
                     let latency_us = started.elapsed().as_micros() as u64;
                     if let Some(m) = &ctx.metrics {
                         m.observe(resp.status.code(), latency_us, req_bytes, wire.len() as u64);
-                    }
-                    if let Some(log) = &ctx.access_log {
-                        log(&AccessRecord {
-                            method: req.method,
-                            target: &req.target,
-                            status: resp.status.code(),
-                            latency_us,
-                            request_bytes: req_bytes,
-                            response_bytes: wire.len() as u64,
-                        });
                     }
                     if close || resp_close {
                         if draining {
@@ -901,24 +860,6 @@ mod tests {
         // All connections done: both gauges are back to zero.
         assert_eq!(snap.gauge("http_server_active_connections"), 0);
         assert_eq!(snap.gauge("http_server_accept_queue"), 0);
-    }
-
-    #[test]
-    fn access_log_hook_sees_each_request() {
-        let lines: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&lines);
-        let config = ServerConfig {
-            access_log: Some(Arc::new(move |rec: &AccessRecord<'_>| {
-                sink.lock().push(format!("{} {} {}", rec.method, rec.target, rec.status));
-            })),
-            ..ServerConfig::default()
-        };
-        let server = Server::start_with(test_router(), config).unwrap();
-        raw_round_trip(server.addr(), &[Request::get("/echo/hi")]);
-        server.shutdown();
-        let lines = lines.lock();
-        assert_eq!(lines.len(), 1);
-        assert_eq!(lines[0], "GET /echo/hi 200");
     }
 
     #[test]

@@ -356,21 +356,6 @@ impl ScenarioConfig {
         cfg
     }
 
-    /// A benchmark-sized scenario between TINY and HS1: big enough
-    /// that fixed per-run costs (file setup, a handful of fsyncs)
-    /// amortize below measurement noise, small enough that a timing
-    /// gate stays fast. Used by the crash-recovery overhead gate.
-    pub fn bench() -> Self {
-        let mut cfg = Self::tiny();
-        cfg.name = "BENCH".into();
-        cfg.seed = 0xbe4c;
-        cfg.school_size = 256;
-        cfg.public_enrollment_estimate = 256;
-        cfg.community_pool_size = 2400;
-        cfg.former_students = 40;
-        cfg
-    }
-
     /// The same scenario regenerated in a world without COPPA's age
     /// restriction: children register truthfully (§7's assumption).
     pub fn without_coppa(&self) -> Self {

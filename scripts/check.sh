@@ -19,20 +19,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
-echo "==> HS1 sweeps with their gates (arms race, freshness, chaos, worker scaling, trace forensics) + tiny metro + crash-recovery kill sweep"
-cargo run --release -p hsp-experiments -- arms-race freshness chaos-sweep worker-scaling trace-forensics metro crash-recovery
-
-# The smoke runs below print their rows; the BENCH_*.json history
-# files must come out byte-identical.
+# The gated experiments write no history: the BENCH_*.json files must
+# come out byte-identical.
 bench_sums="$(sha256sum BENCH_*.json)"
 
-echo "==> overload + transport-chaos soak, smoke mode (2 seeds, tiny attack)"
-SOAK_SEEDS=2 SOAK_SCENARIO=tiny cargo run --release --example soak
+echo "==> HS1 sweeps with their gates (arms race, freshness, chaos, worker scaling, trace forensics, overload soak) + tiny metro + crash-recovery kill sweep and journal ceiling"
+cargo run --release -p hsp-experiments -- arms-race freshness chaos-sweep worker-scaling trace-forensics soak metro crash-recovery
 
-echo "==> crash-only attacker smoke (kill-point sweep, bit-identical process resume)"
-cargo run --release --example crash -- --smoke
-
-echo "==> smoke runs left BENCH_*.json unchanged"
+echo "==> the gated experiments left BENCH_*.json unchanged"
 echo "$bench_sums" | sha256sum --check --quiet
 
 # The attackbench build must find its committed lock file complete: a

@@ -6,16 +6,19 @@
 //! digest, same found count, same effort ledger, same flight-recorder
 //! trace (recovery's own lane excluded).
 //!
-//! The heavier sweeps live in `exp_extra::crash_recovery` and
-//! `examples/crash.rs` (real SIGABRT over TCP); this tier-1 test pins
-//! the core identity guarantees on the tiny world.
+//! These tests pin the identity guarantees on the tiny world, and
+//! `a_killed_attacker_process_resumes_over_tcp` does it for real: an
+//! attacker child process dies by SIGABRT mid-journal-write and its
+//! successor resumes over loopback TCP. `experiments crash-recovery`
+//! sweeps more kill points and holds the journal's write path to ≤5%
+//! of the attack's wall time.
 
-use hs_profiler::crawler::{recover, AdaptiveStrategy, KillPlan};
+use hs_profiler::crawler::{recover, AdaptiveStrategy, CrawlError, Effort, KillPlan};
 use hs_profiler::experiments::crash_lab::{
-    baseline, baseline_on, crash_lab, killed_and_resumed_on,
+    attack_over_tcp, baseline, baseline_on, crash_lab, killed_and_resumed_on,
 };
 use hs_profiler::synth::ScenarioConfig;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const SEED: u64 = 0xC4A5;
 const WORKERS: usize = 2;
@@ -64,8 +67,10 @@ fn killed_and_resumed_is_bit_identical() {
 
     let kills = [
         ("early", KillPlan::after(3)),
+        ("record-40", KillPlan::after(40)),
         ("midway", KillPlan::after(committed / 2)),
         ("torn", KillPlan::torn(committed / 2, 7)),
+        ("torn-120", KillPlan::torn(120, 7)),
         ("late", KillPlan::after(committed - 2)),
     ];
     for (label, kill) in kills {
@@ -119,5 +124,125 @@ fn adaptive_attacker_resumes_bit_identically() {
         assert_eq!(o.digest, yardstick.digest, "{label}: outcome digest drifted after resume");
         assert_eq!(o.effort, yardstick.effort, "{label}: effort ledger drifted after resume");
         assert_eq!(o.trace_digest, yardstick.trace_digest, "{label}: trace drifted after resume");
+    }
+}
+
+/// The attacker child's environment (test plumbing between
+/// `a_killed_attacker_process_resumes_over_tcp` and `attacker_child`).
+const CHILD_ADDR: &str = "HSP_CRASH_CHILD_ADDR";
+const CHILD_JOURNAL: &str = "HSP_CRASH_CHILD_JOURNAL";
+const CHILD_KILL_AFTER: &str = "HSP_CRASH_CHILD_KILL_AFTER";
+const CHILD_RESULT: &str = "HSP_CRASH_CHILD_RESULT";
+
+/// Re-run this test binary as the attacker child: `attacker_child`
+/// against `addr`, journaling to `journal`, torn-killed at record
+/// `kill_after` if given, writing its result to `result`.
+fn spawn_child(
+    addr: std::net::SocketAddr,
+    journal: &Path,
+    kill_after: Option<u64>,
+    result: &Path,
+) -> std::process::Output {
+    let exe = std::env::current_exe().expect("test binary path");
+    let mut cmd = std::process::Command::new(exe);
+    cmd.args(["attacker_child", "--exact", "--ignored", "--nocapture"])
+        .env(CHILD_ADDR, addr.to_string())
+        .env(CHILD_JOURNAL, journal)
+        .env(CHILD_RESULT, result);
+    if let Some(after) = kill_after {
+        cmd.env(CHILD_KILL_AFTER, after.to_string());
+    }
+    cmd.output().expect("spawn the attacker child")
+}
+
+/// A real process kill over TCP. The parent serves a crash lab on
+/// loopback and keeps it running; a child attacker process, armed to
+/// tear its journal mid-frame halfway through, dies by SIGABRT with
+/// nothing in its memory surviving, and a successor process resumes
+/// from the journal against the same platform. The successor must
+/// match the in-process yardstick's outcome digest, found count and
+/// whole effort ledger.
+#[cfg(unix)]
+#[test]
+fn a_killed_attacker_process_resumes_over_tcp() {
+    use std::os::unix::process::ExitStatusExt;
+    const SIGABRT: i32 = 6;
+    let cfg = ScenarioConfig::tiny();
+    let probe = test_dir("process-probe.journal");
+    let _ = std::fs::remove_file(&probe);
+    let yardstick = baseline(&cfg, SEED, WORKERS, CHURN, Some(&probe));
+    let committed = recover(&probe).expect("probe journal readable").records.len() as u64;
+
+    let mut lab = crash_lab(&cfg, CHURN);
+    let addr = lab.serve().expect("serve the crash lab");
+    let journal = test_dir("process-kill.journal");
+    let result = test_dir("process-kill.result");
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&result);
+
+    let kill_after = committed / 2;
+    let victim = spawn_child(addr, &journal, Some(kill_after), &result);
+    assert_eq!(
+        victim.status.signal(),
+        Some(SIGABRT),
+        "the victim must die by SIGABRT, not {}:\n{}",
+        victim.status,
+        String::from_utf8_lossy(&victim.stderr)
+    );
+    assert!(!result.exists(), "the victim wrote a result before dying");
+    let log = recover(&journal).expect("victim journal readable");
+    assert!(log.torn_bytes > 0, "the torn kill left no torn bytes");
+    assert!(
+        (log.records.len() as u64) < kill_after,
+        "recovery claims {} records at or past the kill point {kill_after}",
+        log.records.len()
+    );
+
+    let successor = spawn_child(addr, &journal, None, &result);
+    assert!(
+        successor.status.success(),
+        "the successor failed: {}\n{}",
+        successor.status,
+        String::from_utf8_lossy(&successor.stderr)
+    );
+    let r: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&result).expect("successor result"))
+            .expect("successor result parses");
+    let field = |key: &str| r.get(key).unwrap_or_else(|| panic!("result lacks `{key}`")).clone();
+    assert!(field("recovered_records").as_u64() > Some(0), "the successor did not resume");
+    let digest = format!("{:016x}", yardstick.digest);
+    assert_eq!(field("digest").as_str(), Some(digest.as_str()), "outcome digest drifted");
+    assert_eq!(field("found").as_u64(), Some(yardstick.found as u64), "found count drifted");
+    let effort: Effort = serde_json::from_value(field("effort")).expect("effort parses");
+    assert_eq!(effort, yardstick.effort, "effort ledger drifted");
+}
+
+/// The attacker process `a_killed_attacker_process_resumes_over_tcp`
+/// spawns. Run without the child's environment it does nothing.
+#[test]
+#[ignore = "the attacker child of a_killed_attacker_process_resumes_over_tcp"]
+fn attacker_child() {
+    let Ok(addr) = std::env::var(CHILD_ADDR) else { return };
+    let addr = addr.parse().expect("child address");
+    let journal = PathBuf::from(std::env::var(CHILD_JOURNAL).expect("child journal"));
+    let result = PathBuf::from(std::env::var(CHILD_RESULT).expect("child result path"));
+    let kill = std::env::var(CHILD_KILL_AFTER)
+        .ok()
+        .map(|after| KillPlan::torn(after.parse().expect("kill point"), 7));
+    let lab = crash_lab(&ScenarioConfig::tiny(), CHURN);
+    match attack_over_tcp(&lab, addr, SEED, WORKERS, kill, &journal) {
+        Ok(trial) => {
+            let o = &trial.outcome;
+            let row = serde_json::json!({
+                "digest": format!("{:016x}", o.digest),
+                "found": o.found,
+                "effort": o.effort,
+                "recovered_records": trial.recovered_records,
+            });
+            std::fs::write(&result, row.to_string()).expect("write the child result");
+        }
+        // Die for real, mid-write: no unwinding, no Drop, no flush.
+        Err(CrawlError::BadPage("journal kill point")) => std::process::abort(),
+        Err(e) => panic!("the attacker child died for a non-kill reason: {e:?}"),
     }
 }
