@@ -1,8 +1,9 @@
 //! Crash-only attacker harness: kill-point injection over a journaled
 //! parallel crawl, and bit-identical resume from the durable journal.
-//! In-process, the seats reach the lab's handler directly;
-//! [`attack_over_tcp`] runs the same startup path as a separate
-//! attacker process would, over a loopback [`Client`].
+//! The crash attacker is [`Lab::crawler`]'s fleet: in-process, the
+//! seats reach the lab's handler directly; [`attack_over_tcp`] runs the
+//! same startup path as a separate attacker process would, over a
+//! loopback [`hsp_http::Client`].
 //!
 //! The model: the *attacker's process* dies (power cut, OOM kill,
 //! operator ctrl-C) at an arbitrary journal byte boundary; the platform
@@ -15,28 +16,27 @@
 //! digest (minus the administrative recovery lane).
 //!
 //! Replay correctness rests on the sequence-mode substrate: every seat
-//! is built with [`ResilientExchange::with_attempt_seq`], so each
-//! request carries a per-account monotone `x-attempt-seq`. The platform
-//! keys its fault draws on `(account, seq, site)` instead of a served
-//! counter, and its anti-crawl accounting is replay-aware — a resumed
-//! crawler re-driving the request prefix after its last durable commit
-//! gets byte-identical responses and bills nothing twice.
+//! is built with [`hsp_http::ResilientExchange::with_attempt_seq`], so
+//! each request carries a per-account monotone `x-attempt-seq`. The
+//! platform keys its fault draws on `(account, seq, site)` instead of a
+//! served counter, and its signup and anti-crawl accounting are
+//! replay-aware — a resumed crawler re-driving the request prefix after
+//! its last durable commit gets byte-identical responses and bills
+//! nothing twice.
 
-use crate::runner::{attack_phases, Lab};
+use crate::runner::{attack_phases, CrawlerSpec, Lab, LabCrawler};
 use hsp_core::{evaluate, Discovery, EvalPoint};
 use hsp_crawler::{
-    fold_state, recover_instrumented, AccountSeat, AdaptiveStrategy, CrawlError, Effort, Journal,
-    JournalMetrics, KillPlan, OsnAccess, ParallelCrawler, ResumeState, LANE_RECOVERY,
+    fold_state, recover_instrumented, AdaptiveStrategy, CrawlError, Effort, Journal,
+    JournalMetrics, KillPlan, OsnAccess, LANE_RECOVERY,
 };
 use hsp_graph::UserId;
-use hsp_http::{Client, DirectExchange, Exchange, ResilientExchange, RetryPolicy, RetryStats};
 use hsp_obs::trace::{fnv1a_chain, FNV_OFFSET};
-use hsp_obs::{FlightRecorder, SpanRecord, VirtualClock};
+use hsp_obs::SpanRecord;
 use hsp_platform::{FaultPlan, PlatformConfig};
 use hsp_synth::ScenarioConfig;
 use std::net::SocketAddr;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Fake accounts the crash attacker starts with (the paper's HS1 pair).
@@ -54,8 +54,6 @@ pub const CRASH_TRACE_CAP: usize = 16_384;
 /// platform; a mere process crash loses nothing — the bytes are
 /// already in the page cache).
 pub const CRASH_SYNC_EVERY: u64 = 64;
-
-type CrashExchange = ResilientExchange<Box<dyn Exchange + Send>>;
 
 /// A crash trial's platform: chaos faults armed **and** a live
 /// (mutating) world — the hardest setting the determinism gates cover —
@@ -130,98 +128,20 @@ fn outcome_digest(discovery: &Discovery, guessed: &[UserId], eval: &EvalPoint) -
         .fold(FNV_OFFSET, |h, v| fnv1a_chain(h, &v.to_le_bytes()))
 }
 
-fn make_seat(
-    wire: Box<dyn Exchange + Send>,
-    tracer: &Arc<FlightRecorder>,
-    stats: &Arc<RetryStats>,
-    seed: u64,
-    i: u64,
-) -> AccountSeat<CrashExchange> {
-    let clock = VirtualClock::shared();
-    AccountSeat {
-        exchange: ResilientExchange::with_stats(
-            wire,
-            RetryPolicy::seeded(seed ^ i),
-            Arc::clone(&clock),
-            Arc::clone(stats),
-        )
-        .with_tracer(Arc::clone(tracer))
-        .with_attempt_seq(),
-        clock: Some(clock),
-    }
-}
-
-/// The crash attacker's settings: retry seed, worker threads, the
-/// adaptive strategy (`None` = naive pacing), and the seats' wire: the
-/// lab's handler (`tcp` is `None`), or a loopback [`Client`] to the
-/// platform served at `tcp`.
-#[derive(Clone, Copy)]
-struct Fleet {
+/// The crash attacker over `lab`, naive or `adaptive`: the lab's fleet
+/// with every attempt stamped with its `x-attempt-seq`.
+fn fleet(
+    lab: &Lab,
     seed: u64,
     workers: usize,
     adaptive: Option<AdaptiveStrategy>,
-    tcp: Option<SocketAddr>,
-}
-
-/// Build the crash attacker over `lab`: fresh (`resume` is `None`;
-/// journaled unless `journal` is `None`) or rebuilt from a recovered
-/// journal state by [`hsp_crawler::ParallelCrawlerBuilder::build_resumed`].
-/// Seat `i` is seeded `seed ^ i` and recruits continue at `accounts +
-/// 1, accounts + 2, ...` — the convention [`Lab::crawler`] uses — so a
-/// resume re-mints every journaled lane with its original seed (initial
-/// lane `i` was seat `i`; recruit lane `CRASH_ACCOUNTS + j` was seat
-/// `CRASH_ACCOUNTS + 1 + j`).
-fn build(
-    lab: &Lab,
-    fleet: Fleet,
-    resume: Option<&ResumeState>,
-    journal: Option<Journal>,
-) -> Result<ParallelCrawler<CrashExchange>, CrawlError> {
-    let Fleet { seed, workers, adaptive, tcp } = fleet;
-    let stats = Arc::new(RetryStats::default());
-    let handler = lab.handler();
-    let wire = move || -> Box<dyn Exchange + Send> {
-        match tcp {
-            Some(addr) => Box::new(Client::new(addr)),
-            None => Box::new(DirectExchange::new(Arc::clone(&handler))),
-        }
-    };
-    let tracer = Arc::clone(lab.obs.tracer());
-    let (lanes, recruited) =
-        resume.map_or((CRASH_ACCOUNTS, 0), |s| (s.lanes.len(), s.sched.recruited));
-    let seat_index = |lane: usize| -> u64 {
-        if lane < CRASH_ACCOUNTS {
-            lane as u64
-        } else {
-            (CRASH_ACCOUNTS + 1 + (lane - CRASH_ACCOUNTS)) as u64
-        }
-    };
-    let seats: Vec<_> =
-        (0..lanes).map(|i| make_seat(wire(), &tracer, &stats, seed, seat_index(i))).collect();
-    let factory = {
-        let (tracer, stats) = (tracer, Arc::clone(&stats));
-        // The original factory had handed out `recruited` seats already.
-        let mut next = CRASH_ACCOUNTS as u64 + recruited;
-        move || {
-            next += 1;
-            make_seat(wire(), &tracer, &stats, seed, next)
-        }
-    };
-    let mut builder = ParallelCrawler::builder("crash")
+) -> CrawlerSpec<'_> {
+    lab.crawler(CRASH_ACCOUNTS, "crash")
+        .seed(seed)
         .workers(workers)
-        .observability(&lab.obs)
-        .retry_stats(stats)
-        .recruit_with(factory, CRASH_MAX_ACCOUNTS);
-    if let Some(strategy) = adaptive {
-        builder = builder.adaptive(strategy);
-    }
-    if let Some(journal) = journal {
-        builder = builder.journal(journal);
-    }
-    match resume {
-        Some(state) => builder.build_resumed(state, seats),
-        None => builder.build(seats),
-    }
+        .adaptive(adaptive)
+        .max_accounts(CRASH_MAX_ACCOUNTS)
+        .attempt_seq()
 }
 
 /// Drive the full basic + enhanced methodology over `crawler` and
@@ -229,10 +149,12 @@ fn build(
 /// write-path clock covers the whole durable run.
 fn drive(
     lab: &Lab,
-    mut crawler: ParallelCrawler<CrashExchange>,
+    mut crawler: LabCrawler,
     journal_path: Option<&Path>,
 ) -> Result<CrashOutcome, CrawlError> {
-    let (config, discovery, _, enhanced) = attack_phases(lab, &mut crawler)?;
+    let config = lab.attack_config();
+    let (discovery, _, enhanced) =
+        attack_phases(&lab.obs, &config, lab.scenario.home_city, &mut crawler)?;
     let t = config.school_size_estimate as usize;
     let truth = lab.ground_truth();
     let guessed: Vec<UserId> = enhanced.guessed_students(t);
@@ -255,23 +177,12 @@ fn file_bytes(path: &Path) -> u64 {
     std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
 }
 
-/// The yardstick: an uninterrupted attack on a fresh identically-seeded
-/// lab. `journal` controls whether it journals (overhead measurement
-/// wants both; the digest gates compare against either — journaling
-/// never changes results).
+/// The yardstick: an uninterrupted attack, naive or `adaptive`, on
+/// `lab` — a fresh [`crash_lab`] seeded like the trials' labs, or any
+/// lab held for span-level inspection. `journal_path` controls whether
+/// it journals (overhead measurement wants both; the digest gates
+/// compare against either — journaling never changes results).
 pub fn baseline(
-    cfg: &ScenarioConfig,
-    seed: u64,
-    workers: usize,
-    churn: f64,
-    journal_path: Option<&Path>,
-) -> CrashOutcome {
-    baseline_on(&crash_lab(cfg, churn), seed, workers, None, journal_path)
-}
-
-/// [`baseline`] over a caller-held lab (span-level inspection), for a
-/// naive or an `adaptive` attacker.
-pub fn baseline_on(
     lab: &Lab,
     seed: u64,
     workers: usize,
@@ -281,9 +192,10 @@ pub fn baseline_on(
     lab.obs.enable_tracing(CRASH_TRACE_CAP);
     let journal = journal_path
         .map(|p| Journal::create(p).expect("baseline journal").with_sync_every(CRASH_SYNC_EVERY));
-    let fleet = Fleet { seed, workers, adaptive, tcp: None };
-    let crawler = build(lab, fleet, None, journal).expect("baseline crawler");
-    drive(lab, crawler, journal_path).expect("baseline attack")
+    let attacker = fleet(lab, seed, workers, adaptive)
+        .build_journaled(journal, None)
+        .expect("baseline crawler");
+    drive(lab, attacker.crawler, journal_path).expect("baseline attack")
 }
 
 /// Run the crash-only startup path: recover whatever the journal holds
@@ -291,7 +203,7 @@ pub fn baseline_on(
 /// or start fresh — the startup path *is* the recovery path.
 fn attempt(
     lab: &Lab,
-    fleet: Fleet,
+    spec: CrawlerSpec<'_>,
     path: &Path,
     metrics: &JournalMetrics,
     kill: Option<KillPlan>,
@@ -333,29 +245,17 @@ fn attempt(
             captcha_ms: 0,
         });
     }
-    let crawler = build(lab, fleet, state.as_ref(), Some(journal))?;
-    drive(lab, crawler, Some(path))
+    let attacker = spec.build_journaled(Some(journal), state.as_ref())?;
+    drive(lab, attacker.crawler, Some(path))
 }
 
-/// Kill the attacker at `kill` (a lifetime journal-record kill point,
-/// optionally torn mid-frame), then restart it against the *same
-/// still-running platform* and let it resume from the journal. Panics
-/// on any failure that is not the injected kill.
+/// Kill a naive or an `adaptive` attacker at `kill` (a lifetime
+/// journal-record kill point, optionally torn mid-frame), then restart
+/// it against the *same still-running platform* and let it resume from
+/// the journal. `lab` is held by the caller for span-level inspection,
+/// or to chain several kills against one platform. Panics on any
+/// failure that is not the injected kill.
 pub fn killed_and_resumed(
-    cfg: &ScenarioConfig,
-    seed: u64,
-    workers: usize,
-    churn: f64,
-    kill: KillPlan,
-    path: &Path,
-) -> KillTrial {
-    killed_and_resumed_on(&crash_lab(cfg, churn), seed, workers, None, kill, path)
-}
-
-/// [`killed_and_resumed`] over a caller-held lab (span-level
-/// inspection, or chaining several kills against one platform), for a
-/// naive or an `adaptive` attacker.
-pub fn killed_and_resumed_on(
     lab: &Lab,
     seed: u64,
     workers: usize,
@@ -369,8 +269,8 @@ pub fn killed_and_resumed_on(
     let mut trial = KillTrial { kill_after: kill.after_records, ..KillTrial::default() };
     let mut kill = Some(kill);
     loop {
-        let fleet = Fleet { seed, workers, adaptive, tcp: None };
-        match attempt(lab, fleet, path, &metrics, kill.take(), &mut trial) {
+        let spec = fleet(lab, seed, workers, adaptive);
+        match attempt(lab, spec, path, &metrics, kill.take(), &mut trial) {
             Ok(outcome) => {
                 trial.completed_before_kill = trial.resumes == 0;
                 trial.outcome = outcome;
@@ -387,28 +287,30 @@ pub fn killed_and_resumed_on(
     }
 }
 
-/// One attacker *process* against the platform served at `addr`: the
-/// crash-only startup path (recover → fold → reopen → build → drive)
-/// with every seat on a loopback [`Client`], as a separate process runs
-/// it. `lab` is this process's copy of the world, for the attack's
-/// configuration and scoring; its own platform serves nothing. The
-/// trial covers this process alone: `resumes` stays 0, and the
-/// recovery fields say what its startup recovered (zeros on a fresh
-/// start). `Err(CrawlError::BadPage("journal kill point"))` means
-/// `kill` fired; the process must then die without unwinding.
+/// One attacker *process*, naive or `adaptive`, against the platform
+/// served at `addr`: the crash-only startup path (recover → fold →
+/// reopen → build → drive) with every seat on a loopback
+/// [`hsp_http::Client`], as a separate process runs it. `lab` is this
+/// process's copy of the world, for the attack's configuration and
+/// scoring; the seats reach only `addr`. The trial covers this
+/// process alone: `resumes` stays 0, and the recovery fields say what
+/// its startup recovered (zeros on a fresh start).
+/// `Err(CrawlError::BadPage("journal kill point"))` means `kill` fired;
+/// the process must then die without unwinding.
 pub fn attack_over_tcp(
     lab: &Lab,
     addr: SocketAddr,
     seed: u64,
     workers: usize,
+    adaptive: Option<AdaptiveStrategy>,
     kill: Option<KillPlan>,
     path: &Path,
 ) -> Result<KillTrial, CrawlError> {
     let metrics = JournalMetrics::register(&lab.obs);
     let mut trial =
         KillTrial { kill_after: kill.map_or(0, |k| k.after_records), ..KillTrial::default() };
-    let fleet = Fleet { seed, workers, adaptive: None, tcp: Some(addr) };
-    trial.outcome = attempt(lab, fleet, path, &metrics, kill, &mut trial)?;
+    let spec = fleet(lab, seed, workers, adaptive).remote(addr);
+    trial.outcome = attempt(lab, spec, path, &metrics, kill, &mut trial)?;
     trial.completed_before_kill = kill.is_some();
     Ok(trial)
 }

@@ -560,9 +560,9 @@ pub fn crash_recovery(ctx: &mut Ctx) -> ExperimentReport {
 
     // Yardsticks: the un-journaled run the digests must converge to,
     // and a journaled-but-uninterrupted run for record count + cost.
-    let bare = baseline(&cfg, SEED, WORKERS, CHURN, None);
+    let bare = baseline(&crash_lab(&cfg, CHURN), SEED, WORKERS, None, None);
     let journal_path = dir.join("baseline.journal");
-    let journaled = baseline(&cfg, SEED, WORKERS, CHURN, Some(&journal_path));
+    let journaled = baseline(&crash_lab(&cfg, CHURN), SEED, WORKERS, None, Some(&journal_path));
     assert_eq!(bare.digest, journaled.digest, "journaling changed the outcome");
     assert_eq!(bare.effort, journaled.effort, "journaling changed the effort ledger");
     assert_eq!(bare.trace_digest, journaled.trace_digest, "journaling changed the trace");
@@ -593,7 +593,7 @@ pub fn crash_recovery(ctx: &mut Ctx) -> ExperimentReport {
     let mut points = Vec::new();
     for (label, kill) in kills {
         let path = dir.join(format!("kill-{}.journal", label.replace([' ', '%'], "_")));
-        let trial = killed_and_resumed(&cfg, SEED, WORKERS, CHURN, kill, &path);
+        let trial = killed_and_resumed(&crash_lab(&cfg, CHURN), SEED, WORKERS, None, kill, &path);
         assert!(!trial.completed_before_kill, "{label}: kill point never fired");
         assert_eq!(trial.resumes, 1, "{label}: expected exactly one restart");
         assert_eq!(trial.outcome.digest, bare.digest, "{label}: outcome digest drifted");
@@ -637,7 +637,7 @@ pub fn crash_recovery(ctx: &mut Ctx) -> ExperimentReport {
             let addr = lab.serve().expect("serve the crash lab");
             let _ = std::fs::remove_file(&tcp_path);
             let started = std::time::Instant::now();
-            let trial = attack_over_tcp(&lab, addr, SEED, WORKERS, None, &tcp_path)
+            let trial = attack_over_tcp(&lab, addr, SEED, WORKERS, None, None, &tcp_path)
                 .expect("journaled TCP attack");
             let wall = started.elapsed();
             assert_eq!(trial.outcome.digest, bare.digest, "TCP rep {rep}: outcome digest drifted");

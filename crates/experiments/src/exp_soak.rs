@@ -248,7 +248,8 @@ fn soak_seed(
     let plan = ChaosPlan::chaos().with_seed(seed ^ 0xC4A0_2013);
     let Attacker { mut crawler, retry_stats, chaos_stats: chaos } =
         lab.crawler(2, "soak").seed(seed).chaos(&plan).tcp(true).build();
-    let outcome = attack_phases(&lab, &mut crawler);
+    let config = lab.attack_config();
+    let outcome = attack_phases(&lab.obs, &config, lab.scenario.home_city, &mut crawler);
     stop.store(true, Ordering::Relaxed);
     let mut attack_bg = LoadTally::default();
     for h in background {
@@ -262,7 +263,7 @@ fn soak_seed(
     );
 
     // Phase 3: audits.
-    let (config, _, _, enhanced) =
+    let (_, _, enhanced) =
         outcome.unwrap_or_else(|e| panic!("seed {seed:#x}: the attack died: {e}"));
     let t = config.school_size_estimate as usize;
     let guessed = enhanced.guessed_students(t);

@@ -4,20 +4,19 @@
 //! this module mounts a [`hsp_synth::MetroConfig`] world (dozens of
 //! schools sharing one city, up to millions of users) on a single
 //! platform and attacks *every* school, each through its own
-//! [`ParallelCrawler`] with per-school fake accounts. School runs are
-//! independent — separate account seats, per-school seeds — so the
-//! per-school outcomes are bit-identical regardless of worker count or
-//! school scheduling order, which is what lets the metro bench assert
-//! 1-worker vs 8-worker determinism at city scale.
+//! [`hsp_crawler::ParallelCrawler`] with per-school fake accounts.
+//! School runs are independent — separate account seats, per-school
+//! seeds — so the per-school outcomes are bit-identical regardless of
+//! worker count or school scheduling order, which is what lets the
+//! metro bench assert 1-worker vs 8-worker determinism at city scale.
 
-use hsp_core::{
-    evaluate, run_basic, run_enhanced, AttackConfig, EnhanceOptions, EvalPoint, GroundTruth,
-};
-use hsp_crawler::{AccountSeat, OsnAccess, ParallelCrawler};
+use crate::runner::{attack_phases, CrawlerSpec};
+use hsp_core::{evaluate, AttackConfig, EvalPoint, GroundTruth};
+use hsp_crawler::OsnAccess;
 use hsp_graph::{CityId, Network, SchoolId, UserId};
-use hsp_http::{DirectExchange, Handler, ResilientExchange, RetryPolicy, RetryStats};
+use hsp_http::Handler;
 use hsp_obs::trace::{fnv1a_chain, FNV_OFFSET};
-use hsp_obs::{Registry, VirtualClock};
+use hsp_obs::Registry;
 use hsp_platform::{Platform, PlatformConfig};
 use hsp_policy::FacebookPolicy;
 use hsp_synth::{metro_sharded, MetroConfig};
@@ -139,7 +138,8 @@ impl MetroLab {
 
     /// A per-school parallel crawler: `accounts` fake accounts crawled
     /// by `workers` deterministic workers, labelled so account names
-    /// never collide across schools.
+    /// never collide across schools — [`crate::runner::Lab::crawler`]'s
+    /// fleet over the metro platform, seeded per school.
     fn school_crawler(
         &self,
         school_idx: usize,
@@ -147,41 +147,12 @@ impl MetroLab {
         workers: usize,
         seed: u64,
     ) -> Box<dyn OsnAccess> {
-        let stats = Arc::new(RetryStats::default());
         let seed = seed ^ (school_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let seat = {
-            let handler = Arc::clone(&self.handler);
-            let stats = Arc::clone(&stats);
-            let tracer = Arc::clone(self.obs.tracer());
-            move |i: u64| {
-                let clock = VirtualClock::shared();
-                AccountSeat {
-                    exchange: ResilientExchange::with_stats(
-                        DirectExchange::new(Arc::clone(&handler)),
-                        RetryPolicy::seeded(seed ^ i),
-                        Arc::clone(&clock),
-                        Arc::clone(&stats),
-                    )
-                    .with_tracer(Arc::clone(&tracer)),
-                    clock: Some(clock),
-                }
-            }
-        };
-        let seats: Vec<_> = (0..accounts as u64).map(&seat).collect();
-        let mut next = accounts as u64;
-        let factory = move || {
-            next += 1;
-            seat(next)
-        };
-        Box::new(
-            ParallelCrawler::builder(&format!("m{school_idx:02}"))
-                .workers(workers)
-                .observability(&self.obs)
-                .retry_stats(stats)
-                .recruit_with(factory, 8)
-                .build(seats)
-                .expect("metro crawler setup"),
-        )
+        let label = format!("m{school_idx:02}");
+        CrawlerSpec::new(&self.handler, &self.obs, None, accounts, &label)
+            .seed(seed)
+            .workers(workers)
+            .boxed()
     }
 
     /// Run the full basic+enhanced attack against one school.
@@ -194,13 +165,8 @@ impl MetroLab {
             self.config.students_per_school,
         );
         let t = config.school_size_estimate as usize;
-        let discovery = run_basic(access.as_mut(), &config).expect("metro basic");
-        let enhanced = run_enhanced(
-            access.as_mut(),
-            &discovery,
-            &EnhanceOptions { t, filtering: true, enhance: true, school_city: self.city },
-        )
-        .expect("metro enhanced");
+        let (discovery, _, enhanced) =
+            attack_phases(&self.obs, &config, self.city, access.as_mut()).expect("metro attack");
         let truth = self.ground_truth(school);
         let guessed = enhanced.guessed_students(t);
         let eval = evaluate(t, &guessed, |u| enhanced.inferred_year(u, &config), &truth);

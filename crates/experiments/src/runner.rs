@@ -10,8 +10,10 @@ use hsp_core::{
     EvalPoint, GroundTruth,
 };
 use hsp_crawler::{
-    AccountSeat, AdaptiveStrategy, CrawlError, Effort, OsnAccess, ParallelCrawler, Politeness,
+    AccountSeat, AdaptiveStrategy, CrawlError, Effort, Journal, OsnAccess, ParallelCrawler,
+    Politeness, ResumeState,
 };
+use hsp_graph::CityId;
 use hsp_http::{
     ChaosPlan, ChaosStats, ChaosTransport, Client, DirectExchange, Exchange, Handler,
     ResilientExchange, RetryPolicy, RetryStats, Server, ServerConfig,
@@ -20,6 +22,7 @@ use hsp_obs::{Registry, SpanGuard, VirtualClock};
 use hsp_platform::{DefenseConfig, FaultPlan, MutationPlan, Platform, PlatformConfig};
 use hsp_policy::{FacebookPolicy, Policy};
 use hsp_synth::{generate, ChurnModel, Scenario, ScenarioConfig};
+use std::net::SocketAddr;
 use std::sync::Arc;
 
 /// Scoped timer for one experiment phase, recorded on `reg` under
@@ -41,12 +44,12 @@ pub struct Lab {
 impl Lab {
     /// Build with the standard Facebook policy.
     pub fn facebook(cfg: &ScenarioConfig) -> Lab {
-        Self::with_policy(cfg, Arc::new(FacebookPolicy::new()))
+        Self::facebook_configured(cfg, PlatformConfig::default())
     }
 
     /// [`Lab::facebook`] recording into an existing registry.
     pub fn facebook_with_registry(cfg: &ScenarioConfig, obs: Arc<Registry>) -> Lab {
-        Self::with_policy_and_registry(cfg, Arc::new(FacebookPolicy::new()), obs)
+        Self::generate_and_mount(cfg, PlatformConfig::default(), obs)
     }
 
     /// [`Lab::facebook`] with a hostile platform: the given fault plan
@@ -102,28 +105,18 @@ impl Lab {
     /// [`Lab::facebook`] over a fully caller-specified
     /// [`PlatformConfig`] (fault plan, defense, rate limits, ...).
     pub fn facebook_configured(cfg: &ScenarioConfig, config: PlatformConfig) -> Lab {
-        let scenario = generate(cfg);
-        let obs = Registry::shared();
-        let platform = Platform::with_registry(
-            Arc::new(scenario.network.clone()),
-            Arc::new(FacebookPolicy::new()),
-            config,
-            Arc::clone(&obs),
-        );
-        let handler = platform.into_handler();
-        Lab { scenario, platform, obs, handler, server: None }
+        Self::generate_and_mount(cfg, config, Registry::shared())
     }
 
-    /// Build with an explicit policy engine.
-    pub fn with_policy(cfg: &ScenarioConfig, policy: Arc<dyn Policy>) -> Lab {
-        Self::with_policy_and_registry(cfg, policy, Registry::shared())
+    /// Mount an already-generated scenario (reuse across policy variants).
+    pub fn from_scenario(scenario: Scenario, policy: Arc<dyn Policy>) -> Lab {
+        Self::mount(scenario, policy, PlatformConfig::default(), Registry::shared())
     }
 
-    pub fn with_policy_and_registry(
-        cfg: &ScenarioConfig,
-        policy: Arc<dyn Policy>,
-        obs: Arc<Registry>,
-    ) -> Lab {
+    /// Generate `cfg`'s world under the "generate" phase span, record
+    /// its build rate as `synth_users_per_sec`, and mount it on a
+    /// Facebook-policy platform.
+    fn generate_and_mount(cfg: &ScenarioConfig, config: PlatformConfig, obs: Arc<Registry>) -> Lab {
         let scenario = {
             let _span = phase_span(&obs, "generate");
             let started = std::time::Instant::now();
@@ -133,23 +126,21 @@ impl Lab {
             obs.gauge("synth_users_per_sec").set(rate as i64);
             scenario
         };
-        Self::from_scenario_with_registry(scenario, policy, obs)
+        Self::mount(scenario, Arc::new(FacebookPolicy::new()), config, obs)
     }
 
-    /// Mount an already-generated scenario (reuse across policy variants).
-    pub fn from_scenario(scenario: Scenario, policy: Arc<dyn Policy>) -> Lab {
-        Self::from_scenario_with_registry(scenario, policy, Registry::shared())
-    }
-
-    pub fn from_scenario_with_registry(
+    /// Every constructor's one path: serve `scenario` under `policy`
+    /// and `config`, recording into `obs`.
+    fn mount(
         scenario: Scenario,
         policy: Arc<dyn Policy>,
+        config: PlatformConfig,
         obs: Arc<Registry>,
     ) -> Lab {
         let platform = Platform::with_registry(
             Arc::new(scenario.network.clone()),
             policy,
-            PlatformConfig::default(),
+            config,
             Arc::clone(&obs),
         );
         let handler = platform.into_handler();
@@ -214,23 +205,8 @@ impl Lab {
     /// most 8 accounts, no transport chaos, in-process. Deterministic
     /// for a fixed seed and identical at any worker count.
     pub fn crawler(&self, accounts: usize, label: &str) -> CrawlerSpec<'_> {
-        CrawlerSpec {
-            lab: self,
-            accounts,
-            label: label.to_string(),
-            seed: 0,
-            workers: 1,
-            politeness: Politeness::default(),
-            adaptive: None,
-            max_accounts: 8,
-            chaos: None,
-            tcp: false,
-        }
-    }
-
-    /// The platform handler (sibling harnesses build custom transports).
-    pub(crate) fn handler(&self) -> Arc<dyn Handler> {
-        self.handler.clone()
+        let server = self.server.as_ref().map(Server::addr);
+        CrawlerSpec::new(&self.handler, &self.obs, server, accounts, label)
     }
 
     /// The attacker's configuration for the target school.
@@ -273,9 +249,15 @@ pub struct Attacker {
     pub chaos_stats: Arc<ChaosStats>,
 }
 
-/// A lab crawler's settings; see [`Lab::crawler`].
+/// A lab crawler's settings; see [`Lab::crawler`]. This is the only
+/// place in the crate that mints seats: how seat `i` is seeded, how
+/// recruits are numbered, and how a resumed fleet is re-minted.
 pub struct CrawlerSpec<'a> {
-    lab: &'a Lab,
+    handler: &'a Arc<dyn Handler>,
+    obs: &'a Registry,
+    /// Where a TCP crawler connects: the lab's own server, if it
+    /// serves, or [`CrawlerSpec::remote`]'s address.
+    server: Option<SocketAddr>,
     accounts: usize,
     label: String,
     seed: u64,
@@ -285,9 +267,36 @@ pub struct CrawlerSpec<'a> {
     max_accounts: usize,
     chaos: Option<ChaosPlan>,
     tcp: bool,
+    attempt_seq: bool,
 }
 
-impl CrawlerSpec<'_> {
+impl<'a> CrawlerSpec<'a> {
+    /// `accounts` seats over `handler` (or over TCP to `server`),
+    /// recording into `obs`, with [`Lab::crawler`]'s defaults.
+    pub(crate) fn new(
+        handler: &'a Arc<dyn Handler>,
+        obs: &'a Registry,
+        server: Option<SocketAddr>,
+        accounts: usize,
+        label: &str,
+    ) -> CrawlerSpec<'a> {
+        CrawlerSpec {
+            handler,
+            obs,
+            server,
+            accounts,
+            label: label.to_string(),
+            seed: 0,
+            workers: 1,
+            politeness: Politeness::default(),
+            adaptive: None,
+            max_accounts: 8,
+            chaos: None,
+            tcp: false,
+            attempt_seq: false,
+        }
+    }
+
     /// Seed of the seats' retry jitter streams.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -334,22 +343,61 @@ impl CrawlerSpec<'_> {
         self
     }
 
+    /// Stamp every attempt with a per-seat `x-attempt-seq`
+    /// ([`ResilientExchange::with_attempt_seq`]), which a resumable
+    /// fleet needs. Separate from journaling: an un-journaled yardstick
+    /// must draw the same faults as the journaled run it is compared to.
+    pub(crate) fn attempt_seq(mut self) -> Self {
+        self.attempt_seq = true;
+        self
+    }
+
+    /// Crawl over TCP to the platform served at `addr` — another
+    /// process's server, not this lab's.
+    pub(crate) fn remote(mut self, addr: SocketAddr) -> Self {
+        self.server = Some(addr);
+        self.tcp = true;
+        self
+    }
+
     /// Sign up and log in the fleet.
     pub fn build(self) -> Attacker {
-        let lab = self.lab;
+        self.build_journaled(None, None).expect("crawler setup")
+    }
+
+    /// [`CrawlerSpec::build`], boxed for the methodology.
+    pub fn boxed(self) -> Box<dyn OsnAccess> {
+        Box::new(self.build().crawler)
+    }
+
+    /// Build the fleet journaling to `journal`: fresh (`resume` is
+    /// `None`), or rebuilt from a recovered journal state by
+    /// [`hsp_crawler::ParallelCrawlerBuilder::build_resumed`] with one
+    /// seat per journaled lane, minted in lane order (a lane's jitter
+    /// state is restored from the journal, so its seat number is not
+    /// observable). Seat `i` is seeded `seed ^ i`, and recruits are
+    /// seats `accounts + 1, accounts + 2, ...`; after a resume they
+    /// continue at `accounts + recruited + 1`, so a recruit the killed
+    /// run had signed up but not committed is re-minted as the same
+    /// seat.
+    pub(crate) fn build_journaled(
+        self,
+        journal: Option<Journal>,
+        resume: Option<&ResumeState>,
+    ) -> Result<Attacker, CrawlError> {
         let wire: Box<dyn Fn() -> Box<dyn Exchange + Send>> = if self.tcp {
-            let addr = lab.server.as_ref().expect("call serve() before a TCP crawler").addr();
+            let addr = self.server.expect("call serve() before a TCP crawler");
             Box::new(move || Box::new(Client::new(addr)))
         } else {
-            let handler = lab.handler.clone();
-            Box::new(move || Box::new(DirectExchange::new(handler.clone())))
+            let handler = Arc::clone(self.handler);
+            Box::new(move || Box::new(DirectExchange::new(Arc::clone(&handler))))
         };
         let retry_stats = Arc::new(RetryStats::default());
         let chaos_stats = Arc::new(ChaosStats::default());
         let seat = {
             let (retry_stats, chaos_stats) = (Arc::clone(&retry_stats), Arc::clone(&chaos_stats));
-            let tracer = Arc::clone(lab.obs.tracer());
-            let (chaos, seed) = (self.chaos, self.seed);
+            let tracer = Arc::clone(self.obs.tracer());
+            let (chaos, seed, attempt_seq) = (self.chaos, self.seed, self.attempt_seq);
             move |i: u64| {
                 let clock = VirtualClock::shared();
                 let mut transport = wire();
@@ -363,18 +411,23 @@ impl CrawlerSpec<'_> {
                     );
                     transport = Box::new(chaotic.with_tracer(Arc::clone(&tracer)));
                 }
-                let exchange = ResilientExchange::with_stats(
+                let mut exchange = ResilientExchange::with_stats(
                     transport,
                     RetryPolicy::seeded(seed ^ i),
                     Arc::clone(&clock),
                     Arc::clone(&retry_stats),
                 )
                 .with_tracer(Arc::clone(&tracer));
+                if attempt_seq {
+                    exchange = exchange.with_attempt_seq();
+                }
                 AccountSeat { exchange, clock: Some(clock) }
             }
         };
-        let seats: Vec<_> = (0..self.accounts as u64).map(&seat).collect();
-        let mut next = self.accounts as u64;
+        let (lanes, recruited) =
+            resume.map_or((self.accounts, 0), |s| (s.lanes.len(), s.sched.recruited));
+        let seats: Vec<_> = (0..lanes as u64).map(&seat).collect();
+        let mut next = self.accounts as u64 + recruited;
         let factory = move || {
             next += 1;
             seat(next)
@@ -382,19 +435,20 @@ impl CrawlerSpec<'_> {
         let mut builder = ParallelCrawler::builder(&self.label)
             .workers(self.workers)
             .politeness(self.politeness)
-            .observability(&lab.obs)
+            .observability(self.obs)
             .retry_stats(Arc::clone(&retry_stats))
             .recruit_with(factory, self.max_accounts);
         if let Some(strategy) = self.adaptive {
             builder = builder.adaptive(strategy);
         }
-        let crawler = builder.build(seats).expect("crawler setup");
-        Attacker { crawler, retry_stats, chaos_stats }
-    }
-
-    /// [`CrawlerSpec::build`], boxed for the methodology.
-    pub fn boxed(self) -> Box<dyn OsnAccess> {
-        Box::new(self.build().crawler)
+        if let Some(journal) = journal {
+            builder = builder.journal(journal);
+        }
+        let crawler = match resume {
+            Some(state) => builder.build_resumed(state, seats)?,
+            None => builder.build(seats)?,
+        };
+        Ok(Attacker { crawler, retry_stats, chaos_stats })
     }
 }
 
@@ -419,8 +473,10 @@ pub fn full_attack(lab: &mut Lab, tcp: bool) -> AttackRun {
 /// [`full_attack`] over a caller-supplied access layer (e.g. a seeded
 /// [`Lab::crawler`] for chaos runs).
 pub fn full_attack_with(lab: &Lab, mut access: Box<dyn OsnAccess>) -> AttackRun {
-    let (config, discovery, effort_basic, enhanced) =
-        attack_phases(lab, access.as_mut()).expect("attack methodology");
+    let config = lab.attack_config();
+    let (discovery, effort_basic, enhanced) =
+        attack_phases(&lab.obs, &config, lab.scenario.home_city, access.as_mut())
+            .expect("attack methodology");
     let effort_total = access.effort();
     AttackRun { config, discovery, enhanced, effort_basic, effort_total, access }
 }
@@ -429,39 +485,37 @@ pub fn full_attack_with(lab: &Lab, mut access: Box<dyn OsnAccess>) -> AttackRun 
 /// with a crawl error returned instead of panicking: in a sweep, a
 /// crawl that dies to faults or to the detector is itself a data point.
 pub fn try_attack(lab: &Lab, access: &mut dyn OsnAccess) -> Result<EvalPoint, CrawlError> {
-    let (config, _, _, enhanced) = attack_phases(lab, access)?;
+    let config = lab.attack_config();
+    let (_, _, enhanced) = attack_phases(&lab.obs, &config, lab.scenario.home_city, access)?;
     let t = config.school_size_estimate as usize;
     let truth = lab.ground_truth();
     Ok(evaluate(t, &enhanced.guessed_students(t), |u| enhanced.inferred_year(u, &config), &truth))
 }
 
-/// Basic then enhanced(+filtering), each phase timed on the lab's
-/// registry; also returns the effort spent by the end of basic.
+/// Basic then enhanced(+filtering) against the school `config` names,
+/// whose city is `school_city`, each phase timed on `obs`; also returns
+/// the effort spent by the end of basic.
 pub(crate) fn attack_phases(
-    lab: &Lab,
+    obs: &Registry,
+    config: &AttackConfig,
+    school_city: CityId,
     access: &mut dyn OsnAccess,
-) -> Result<(AttackConfig, Discovery, Effort, Enhanced), CrawlError> {
-    let config = lab.attack_config();
+) -> Result<(Discovery, Effort, Enhanced), CrawlError> {
     let discovery = {
-        let _span = phase_span(&lab.obs, "crawl");
-        run_basic(access, &config)?
+        let _span = phase_span(obs, "crawl");
+        run_basic(access, config)?
     };
     let effort_basic = access.effort();
     let t = config.school_size_estimate as usize;
     let enhanced = {
-        let _span = phase_span(&lab.obs, "infer");
+        let _span = phase_span(obs, "infer");
         run_enhanced(
             access,
             &discovery,
-            &EnhanceOptions {
-                t,
-                filtering: true,
-                enhance: true,
-                school_city: lab.scenario.home_city,
-            },
+            &EnhanceOptions { t, filtering: true, enhance: true, school_city },
         )?
     };
-    Ok((config, discovery, effort_basic, enhanced))
+    Ok((discovery, effort_basic, enhanced))
 }
 
 /// Evaluate a guessed set for one threshold.

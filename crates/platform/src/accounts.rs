@@ -22,8 +22,10 @@ pub struct Account {
     /// Virtual-time stamps of requests inside the sliding suspension
     /// window (only maintained while the windowed rule is enabled).
     recent: VecDeque<u64>,
-    /// Highest attempt sequence number served (replay-tolerant mode;
-    /// see `hsp_http::resilient::H_ATTEMPT_SEQ`).
+    /// Attempt sequence number the signup carried (replay-tolerant
+    /// mode; see `hsp_http::resilient::H_ATTEMPT_SEQ`).
+    signup_seq: Option<u64>,
+    /// Highest attempt sequence number served (replay-tolerant mode).
     last_seq: Option<u64>,
     /// Sequence number at which the account was suspended, so replays
     /// of earlier requests still succeed and replays at-or-after it
@@ -62,11 +64,27 @@ impl Accounts {
 
     /// Create an account. The platform does not verify anything — which
     /// is precisely the paper's point about unverified self-asserted
-    /// ages.
-    pub fn signup(&self, username: &str, password: &str) -> Result<usize, AccountError> {
+    /// ages. Replay-tolerant when `seq` (the signup's attempt sequence
+    /// number) is present: the account keeps it, and a signup with the
+    /// same username, password and seq — a crash-resumed crawler
+    /// re-enrolling an account its killed run had created — is answered
+    /// as the first one was. Every other signup for a taken username
+    /// fails.
+    pub fn signup(
+        &self,
+        username: &str,
+        password: &str,
+        seq: Option<u64>,
+    ) -> Result<usize, AccountError> {
         let mut inner = self.inner.lock();
-        if inner.by_name.contains_key(username) {
-            return Err(AccountError::UsernameTaken);
+        if let Some(&index) = inner.by_name.get(username) {
+            let account = &inner.accounts[index];
+            let replayed = seq.is_some() && account.signup_seq == seq;
+            return if replayed && account.password == password {
+                Ok(index)
+            } else {
+                Err(AccountError::UsernameTaken)
+            };
         }
         let index = inner.accounts.len();
         inner.accounts.push(Account {
@@ -76,6 +94,7 @@ impl Accounts {
             requests: 0,
             suspended: false,
             recent: VecDeque::new(),
+            signup_seq: seq,
             last_seq: None,
             suspended_at_seq: None,
         });
@@ -228,9 +247,9 @@ mod tests {
     #[test]
     fn signup_login_authorize_flow() {
         let accounts = Accounts::new();
-        let idx = accounts.signup("spy1", "pw").unwrap();
+        let idx = accounts.signup("spy1", "pw", None).unwrap();
         assert_eq!(idx, 0);
-        assert_eq!(accounts.signup("spy1", "pw"), Err(AccountError::UsernameTaken));
+        assert_eq!(accounts.signup("spy1", "pw", None), Err(AccountError::UsernameTaken));
         assert_eq!(accounts.login("spy1", "wrong"), Err(AccountError::BadCredentials));
         assert_eq!(accounts.login("nobody", "pw"), Err(AccountError::BadCredentials));
         let sid = accounts.login("spy1", "pw").unwrap();
@@ -239,9 +258,23 @@ mod tests {
     }
 
     #[test]
+    fn a_signup_replays_only_its_own_seq() {
+        let accounts = Accounts::new();
+        accounts.signup("other", "pw", Some(0)).unwrap();
+        assert_eq!(accounts.signup("spy", "pw", Some(3)), Ok(1));
+        assert_eq!(accounts.signup("spy", "pw", Some(3)), Ok(1), "a replay is answered again");
+        assert_eq!(accounts.signup("spy", "pw", Some(4)), Err(AccountError::UsernameTaken));
+        assert_eq!(accounts.signup("spy", "pw", None), Err(AccountError::UsernameTaken));
+        assert_eq!(accounts.signup("spy", "other", Some(3)), Err(AccountError::UsernameTaken));
+        accounts.signup("bare", "pw", None).unwrap();
+        assert_eq!(accounts.signup("bare", "pw", None), Err(AccountError::UsernameTaken));
+        assert_eq!(accounts.account_count(), 3);
+    }
+
+    #[test]
     fn two_logins_get_distinct_sessions() {
         let accounts = Accounts::new();
-        accounts.signup("a", "p").unwrap();
+        accounts.signup("a", "p", None).unwrap();
         let s1 = accounts.login("a", "p").unwrap();
         let s2 = accounts.login("a", "p").unwrap();
         assert_ne!(s1, s2);
@@ -252,7 +285,7 @@ mod tests {
     #[test]
     fn suspension_after_threshold() {
         let accounts = Accounts::new();
-        accounts.signup("greedy", "p").unwrap();
+        accounts.signup("greedy", "p", None).unwrap();
         let sid = accounts.login("greedy", "p").unwrap();
         for _ in 0..5 {
             assert!(accounts.authorize(&sid, 5).is_ok());
@@ -271,8 +304,8 @@ mod tests {
         // polite one spaces them 10s apart (advancing virtual time) and
         // finishes the full budget untouched.
         let accounts = Accounts::new();
-        accounts.signup("impolite", "p").unwrap();
-        accounts.signup("polite", "p").unwrap();
+        accounts.signup("impolite", "p", None).unwrap();
+        accounts.signup("polite", "p", None).unwrap();
         let rude = accounts.login("impolite", "p").unwrap();
         let nice = accounts.login("polite", "p").unwrap();
 
@@ -300,7 +333,7 @@ mod tests {
     #[test]
     fn windowed_rule_disabled_when_zero() {
         let accounts = Accounts::new();
-        accounts.signup("a", "p").unwrap();
+        accounts.signup("a", "p", None).unwrap();
         let sid = accounts.login("a", "p").unwrap();
         for _ in 0..1_000 {
             accounts.authorize_at(&sid, 1_000_000, 0, 60_000, 0).unwrap();
@@ -311,7 +344,7 @@ mod tests {
     #[test]
     fn force_suspend_and_session_expiry() {
         let accounts = Accounts::new();
-        accounts.signup("a", "p").unwrap();
+        accounts.signup("a", "p", None).unwrap();
         let sid = accounts.login("a", "p").unwrap();
         assert!(accounts.expire_session(&sid));
         assert!(!accounts.expire_session(&sid), "already evicted");
@@ -326,7 +359,7 @@ mod tests {
     #[test]
     fn request_counting() {
         let accounts = Accounts::new();
-        accounts.signup("c", "p").unwrap();
+        accounts.signup("c", "p", None).unwrap();
         let sid = accounts.login("c", "p").unwrap();
         for _ in 0..7 {
             accounts.authorize(&sid, 100).unwrap();

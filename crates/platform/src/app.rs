@@ -2,14 +2,14 @@
 
 use crate::accounts::{AccountError, Accounts};
 use crate::config::PlatformConfig;
-use crate::faults::FaultEngine;
+use crate::faults::{attempt_seq, FaultEngine};
 use crate::mutations::{MutationEngine, WorldGen};
 use crate::render;
 use hsp_defense::{session_account_index, SybilDetector, Verdict};
 use hsp_graph::{CityId, Network, SchoolId, UserId};
 use hsp_http::resilient::{
-    captcha_delay_ms, refusal_provenance, H_ACCOUNT_SUSPENDED, H_ATTEMPT_SEQ, H_CAPTCHA,
-    H_RETRY_AFTER, H_SESSION_EXPIRED, H_SUSPENDED, H_THROTTLED, H_TRACE_ID, H_VIRTUAL_NOW,
+    captcha_delay_ms, refusal_provenance, H_ACCOUNT_SUSPENDED, H_CAPTCHA, H_RETRY_AFTER,
+    H_SESSION_EXPIRED, H_SUSPENDED, H_THROTTLED, H_TRACE_ID, H_VIRTUAL_NOW,
 };
 use hsp_http::{request_cookie, Handler, PathParams, Request, Response, Router, Status};
 use hsp_obs::trace::{SpanRecord, SLOT_SERVER};
@@ -428,7 +428,7 @@ impl Platform {
     fn session_account(&self, req: &Request) -> Result<usize, Response> {
         let sid = request_cookie(req, "sid")
             .ok_or_else(|| Response::error(Status::UNAUTHORIZED, "login required"))?;
-        let seq = req.headers.get(H_ATTEMPT_SEQ).and_then(|v| v.trim().parse::<u64>().ok());
+        let seq = attempt_seq(req);
         if self.faults.expire_session_now(req) {
             // In sequence mode the session is *not* evicted: a crash-
             // resumed crawler replaying an earlier seq with the same
@@ -507,7 +507,7 @@ impl Platform {
         if user.is_empty() || pass.is_empty() {
             return Response::error(Status::BAD_REQUEST, "user and pass required");
         }
-        match self.accounts.signup(&user, &pass) {
+        match self.accounts.signup(&user, &pass, attempt_seq(req)) {
             Ok(_) => Response::text("account created"),
             Err(AccountError::UsernameTaken) => {
                 Response::error(Status::BAD_REQUEST, "username taken")

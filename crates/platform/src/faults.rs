@@ -127,15 +127,9 @@ impl FaultPlan {
     }
 }
 
-/// The fault stream a request draws from. Authenticated traffic is
-/// keyed by the account index baked into the `sid` cookie
-/// (`sid-{index}-…`), so every account has its own deterministic fault
-/// schedule regardless of how concurrent requests interleave.
-/// Signup/login traffic (no session yet) is keyed by the claimed
-/// username; anonymous traffic shares stream 0.
 /// Attempt sequence number carried by the request, if the client opted
 /// into replay-tolerant sequence mode (`x-attempt-seq`).
-fn attempt_seq(req: &Request) -> Option<u64> {
+pub(crate) fn attempt_seq(req: &Request) -> Option<u64> {
     req.headers.get(H_ATTEMPT_SEQ).and_then(|v| v.trim().parse::<u64>().ok())
 }
 
@@ -154,6 +148,12 @@ const SITE_RESET: u64 = 7;
 const SITE_TRUNCATE: u64 = 8;
 const SITE_TRUNCATE_CUT: u64 = 9;
 
+/// The fault stream a request draws from. Authenticated traffic is
+/// keyed by the account index baked into the `sid` cookie
+/// (`sid-{index}-…`), so every account has its own deterministic fault
+/// schedule regardless of how concurrent requests interleave.
+/// Signup/login traffic (no session yet) is keyed by the claimed
+/// username; anonymous traffic shares stream 0.
 fn principal_key(req: &Request) -> u64 {
     if let Some(sid) = request_cookie(req, "sid") {
         if let Some(idx) = sid

@@ -19,6 +19,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> every example runs (release)"
+for example in examples/*.rs; do
+    cargo run --release --quiet --example "$(basename "$example" .rs)" > /dev/null
+done
+
 # The gated experiments write no history: the BENCH_*.json files must
 # come out byte-identical.
 bench_sums="$(sha256sum BENCH_*.json)"

@@ -15,8 +15,10 @@
 
 use hs_profiler::crawler::{recover, AdaptiveStrategy, CrawlError, Effort, KillPlan};
 use hs_profiler::experiments::crash_lab::{
-    attack_over_tcp, baseline, baseline_on, crash_lab, killed_and_resumed_on,
+    attack_over_tcp, baseline, crash_lab, killed_and_resumed, CrashOutcome, KillTrial,
 };
+use hs_profiler::experiments::Lab;
+use hs_profiler::platform::{FaultPlan, PlatformConfig};
 use hs_profiler::synth::ScenarioConfig;
 use std::path::{Path, PathBuf};
 
@@ -38,8 +40,8 @@ fn journaling_changes_nothing() {
     let cfg = ScenarioConfig::tiny();
     let path = test_dir("observer.journal");
     let _ = std::fs::remove_file(&path);
-    let bare = baseline(&cfg, SEED, WORKERS, CHURN, None);
-    let journaled = baseline(&cfg, SEED, WORKERS, CHURN, Some(&path));
+    let bare = baseline(&crash_lab(&cfg, CHURN), SEED, WORKERS, None, None);
+    let journaled = baseline(&crash_lab(&cfg, CHURN), SEED, WORKERS, None, Some(&path));
     assert_eq!(bare.digest, journaled.digest, "journaling changed the outcome digest");
     assert_eq!(bare.found, journaled.found, "journaling changed the found count");
     assert_eq!(bare.effort, journaled.effort, "journaling changed the effort ledger");
@@ -55,12 +57,12 @@ fn journaling_changes_nothing() {
 #[test]
 fn killed_and_resumed_is_bit_identical() {
     let cfg = ScenarioConfig::tiny();
-    let yardstick = baseline(&cfg, SEED, WORKERS, CHURN, None);
+    let yardstick = baseline(&crash_lab(&cfg, CHURN), SEED, WORKERS, None, None);
 
     // How long is the uninterrupted journal? Scales the kill points.
     let probe = test_dir("probe.journal");
     let _ = std::fs::remove_file(&probe);
-    let full = baseline(&cfg, SEED, WORKERS, CHURN, Some(&probe));
+    let full = baseline(&crash_lab(&cfg, CHURN), SEED, WORKERS, None, Some(&probe));
     assert_eq!(full.digest, yardstick.digest);
     let committed = recover(&probe).expect("probe journal readable").records.len() as u64;
     assert!(committed > 8, "tiny journal too short to place kill points: {committed}");
@@ -76,14 +78,52 @@ fn killed_and_resumed_is_bit_identical() {
     for (label, kill) in kills {
         let lab = crash_lab(&cfg, CHURN);
         let path = test_dir(&format!("kill-{label}.journal"));
-        let trial = killed_and_resumed_on(&lab, SEED, WORKERS, None, kill, &path);
-        assert_eq!(trial.resumes, 1, "{label}: expected exactly one resume");
-        assert!(trial.recovered_records > 0, "{label}: resume recovered an empty journal");
-        let o = &trial.outcome;
-        assert_eq!(o.digest, yardstick.digest, "{label}: outcome digest drifted after resume");
-        assert_eq!(o.found, yardstick.found, "{label}: found count drifted after resume");
-        assert_eq!(o.effort, yardstick.effort, "{label}: effort ledger drifted after resume");
-        assert_eq!(o.trace_digest, yardstick.trace_digest, "{label}: trace drifted after resume");
+        let trial = killed_and_resumed(&lab, SEED, WORKERS, None, kill, &path);
+        assert_resumed_identically(label, &trial, &yardstick);
+    }
+}
+
+/// One resume recovered a non-empty journal and converged on
+/// `yardstick`: outcome digest, found count, effort ledger and trace.
+fn assert_resumed_identically(label: &str, trial: &KillTrial, yardstick: &CrashOutcome) {
+    assert_eq!(trial.resumes, 1, "{label}: expected exactly one resume");
+    assert!(trial.recovered_records > 0, "{label}: resume recovered an empty journal");
+    let o = &trial.outcome;
+    assert_eq!(o.digest, yardstick.digest, "{label}: outcome digest drifted after resume");
+    assert_eq!(o.found, yardstick.found, "{label}: found count drifted after resume");
+    assert_eq!(o.effort, yardstick.effort, "{label}: effort ledger drifted after resume");
+    assert_eq!(o.trace_digest, yardstick.trace_digest, "{label}: trace drifted after resume");
+}
+
+/// A fleet that recruits, killed before, inside and after its
+/// recruitment waves. Its first seat is suspended after 60 requests
+/// and every recruit of the first wave after 20, so the fleet grows
+/// 2 → 4 → 8. The resume re-enrolls the recruits the killed run had
+/// signed up but not yet committed — the platform answers a signup
+/// replaying its attempt seq as it answered the first — and numbers
+/// its later recruits where the killed run's numbering stood, so every
+/// resumed run replays the yardstick bit for bit.
+#[test]
+fn a_recruiting_fleet_resumes_bit_identically() {
+    let cfg = ScenarioConfig::tiny();
+    let lab = || {
+        let faults = FaultPlan { suspend_account_after: vec![60, 0, 20, 20], ..FaultPlan::chaos() };
+        let mutations = Lab::churn_plan(&cfg, CHURN);
+        Lab::facebook_configured(&cfg, PlatformConfig { faults, mutations, ..Default::default() })
+    };
+    let probe = test_dir("recruits-probe.journal");
+    let _ = std::fs::remove_file(&probe);
+    let yardstick_lab = lab();
+    let yardstick = baseline(&yardstick_lab, SEED, WORKERS, None, Some(&probe));
+    let recruited = yardstick_lab.obs.snapshot().counter("crawler_accounts_recruited_total");
+    assert_eq!(recruited, 6, "the fleet must recruit 2, then 4 more");
+    let committed = recover(&probe).expect("probe journal readable").records.len() as u64;
+    assert!(committed > 100, "journal too short for the kill points: {committed}");
+
+    for after in [40, 89, 100, committed - 2] {
+        let path = test_dir(&format!("recruits-{after}.journal"));
+        let trial = killed_and_resumed(&lab(), SEED, WORKERS, None, KillPlan::after(after), &path);
+        assert_resumed_identically(&format!("after({after})"), &trial, &yardstick);
     }
 }
 
@@ -96,7 +136,7 @@ fn torn_tail_is_discarded_not_replayed() {
     let cfg = ScenarioConfig::tiny();
     let lab = crash_lab(&cfg, CHURN);
     let path = test_dir("torn-accounting.journal");
-    let trial = killed_and_resumed_on(&lab, SEED, WORKERS, None, KillPlan::torn(9, 5), &path);
+    let trial = killed_and_resumed(&lab, SEED, WORKERS, None, KillPlan::torn(9, 5), &path);
     assert!(trial.torn_bytes > 0, "torn kill left no torn bytes for recovery to cut");
     assert!(
         trial.recovered_records < 9,
@@ -108,22 +148,38 @@ fn torn_tail_is_discarded_not_replayed() {
 
 /// The adaptive attacker journals its pacing too (per-seat jitter draw
 /// counters, decoy cadence): killed mid-crawl and resumed, it replays
-/// the uninterrupted adaptive run bit for bit — decoys included.
+/// the uninterrupted adaptive run bit for bit — decoys included. Over
+/// loopback TCP too: killed and resumed against a served crash lab, it
+/// matches the in-process yardstick's outcome and effort.
 #[test]
 fn adaptive_attacker_resumes_bit_identically() {
     let cfg = ScenarioConfig::tiny();
     let adaptive = Some(AdaptiveStrategy::seeded(SEED));
-    let yardstick = baseline_on(&crash_lab(&cfg, CHURN), SEED, WORKERS, adaptive, None);
+    let yardstick = baseline(&crash_lab(&cfg, CHURN), SEED, WORKERS, adaptive, None);
     assert!(yardstick.effort.decoy_requests > 0, "adaptive run issued no decoys");
     for (label, kill) in [("clean", KillPlan::after(40)), ("torn", KillPlan::torn(60, 7))] {
         let lab = crash_lab(&cfg, CHURN);
         let path = test_dir(&format!("adaptive-{label}.journal"));
-        let trial = killed_and_resumed_on(&lab, SEED, WORKERS, adaptive, kill, &path);
-        assert_eq!(trial.resumes, 1, "{label}: expected exactly one resume");
+        let trial = killed_and_resumed(&lab, SEED, WORKERS, adaptive, kill, &path);
+        assert_resumed_identically(label, &trial, &yardstick);
+    }
+    for (label, kill) in [("tcp-torn", KillPlan::torn(60, 7)), ("tcp-150", KillPlan::after(150))] {
+        let mut lab = crash_lab(&cfg, CHURN);
+        let addr = lab.serve().expect("serve the crash lab");
+        let path = test_dir(&format!("adaptive-{label}.journal"));
+        let _ = std::fs::remove_file(&path);
+        let killed = attack_over_tcp(&lab, addr, SEED, WORKERS, adaptive, Some(kill), &path);
+        assert!(
+            matches!(killed, Err(CrawlError::BadPage("journal kill point"))),
+            "{label}: the kill point never fired"
+        );
+        let trial = attack_over_tcp(&lab, addr, SEED, WORKERS, adaptive, None, &path)
+            .unwrap_or_else(|e| panic!("{label}: the resume over TCP failed: {e:?}"));
+        assert!(trial.recovered_records > 0, "{label}: the resume recovered an empty journal");
         let o = &trial.outcome;
         assert_eq!(o.digest, yardstick.digest, "{label}: outcome digest drifted after resume");
+        assert_eq!(o.found, yardstick.found, "{label}: found count drifted after resume");
         assert_eq!(o.effort, yardstick.effort, "{label}: effort ledger drifted after resume");
-        assert_eq!(o.trace_digest, yardstick.trace_digest, "{label}: trace drifted after resume");
     }
 }
 
@@ -170,7 +226,7 @@ fn a_killed_attacker_process_resumes_over_tcp() {
     let cfg = ScenarioConfig::tiny();
     let probe = test_dir("process-probe.journal");
     let _ = std::fs::remove_file(&probe);
-    let yardstick = baseline(&cfg, SEED, WORKERS, CHURN, Some(&probe));
+    let yardstick = baseline(&crash_lab(&cfg, CHURN), SEED, WORKERS, None, Some(&probe));
     let committed = recover(&probe).expect("probe journal readable").records.len() as u64;
 
     let mut lab = crash_lab(&cfg, CHURN);
@@ -230,7 +286,7 @@ fn attacker_child() {
         .ok()
         .map(|after| KillPlan::torn(after.parse().expect("kill point"), 7));
     let lab = crash_lab(&ScenarioConfig::tiny(), CHURN);
-    match attack_over_tcp(&lab, addr, SEED, WORKERS, kill, &journal) {
+    match attack_over_tcp(&lab, addr, SEED, WORKERS, None, kill, &journal) {
         Ok(trial) => {
             let o = &trial.outcome;
             let row = serde_json::json!({
