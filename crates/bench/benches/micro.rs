@@ -86,6 +86,14 @@ fn html_scrape(c: &mut Criterion) {
     );
     let mut group = c.benchmark_group("micro_html_listing");
     group.throughput(Throughput::Bytes(listing.len() as u64));
+    group.bench_function("render_listing_page_20", |b| {
+        b.iter(|| {
+            let next = Some("/friends/u5?page=1".to_string());
+            black_box(
+                hsp_platform::render::listing_page_stamped("friends", &entries, next, 3).len(),
+            )
+        })
+    });
     group.bench_function("parse_listing_stamped_20", |b| {
         b.iter(|| black_box(hsp_crawler::scrape::parse_listing_stamped(&listing)))
     });

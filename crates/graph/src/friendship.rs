@@ -42,15 +42,66 @@ enum Repr {
     Sealed(Sealed),
 }
 
-/// Frozen compressed-sparse-row adjacency: `edges[offsets[u] as usize
-/// .. offsets[u + 1] as usize]` is the sorted friend list of user `u`.
-#[derive(Debug)]
+/// Frozen compressed-sparse-row lists: `edges[offsets[u] as usize
+/// .. offsets[u + 1] as usize]` is the sorted list of user `u` (their
+/// friends in a [`FriendGraph`], one direction of [`Circles`]).
+#[derive(Debug, PartialEq)]
 struct Csr {
     offsets: Vec<u64>,
     edges: Vec<UserId>,
 }
 
+impl Default for Csr {
+    fn default() -> Self {
+        Csr { offsets: vec![0], edges: Vec::new() }
+    }
+}
+
 impl Csr {
+    /// Directed rows from `(row, member)` pairs: count, prefix sum,
+    /// scatter, then sort and dedup each row. Self-links are dropped.
+    fn from_pairs(users: usize, pairs: impl Iterator<Item = (UserId, UserId)> + Clone) -> Csr {
+        let links = pairs.filter(|(a, b)| a != b);
+        let mut degree = vec![0u64; users];
+        for (a, _) in links.clone() {
+            degree[a.index()] += 1;
+        }
+        let offsets = prefix_sum(&degree);
+        let mut flat = vec![UserId(0); offsets[users] as usize];
+        let mut cursor: Vec<u64> = offsets[..users].to_vec();
+        for (a, b) in links {
+            flat[cursor[a.index()] as usize] = b;
+            cursor[a.index()] += 1;
+        }
+        Csr::sort_rows(&offsets, flat)
+    }
+
+    /// Sort each scattered row of `flat` (row `u` spans
+    /// `offsets[u]..offsets[u + 1]`), then compact duplicates in place.
+    /// The write cursor never passes the read cursor, so this is safe.
+    fn sort_rows(offsets: &[u64], mut flat: Vec<UserId>) -> Csr {
+        let users = offsets.len() - 1;
+        let mut write = 0usize;
+        let mut compacted = Vec::with_capacity(users + 1);
+        compacted.push(0u64);
+        for u in 0..users {
+            let (start, end) = (offsets[u] as usize, offsets[u + 1] as usize);
+            flat[start..end].sort_unstable();
+            let mut prev = None;
+            for read in start..end {
+                let v = flat[read];
+                if prev != Some(v) {
+                    flat[write] = v;
+                    write += 1;
+                    prev = Some(v);
+                }
+            }
+            compacted.push(write as u64);
+        }
+        flat.truncate(write);
+        Csr { offsets: compacted, edges: flat }
+    }
+
     fn users(&self) -> usize {
         self.offsets.len() - 1
     }
@@ -159,14 +210,8 @@ impl FriendGraph {
             degree[a.index()] += 1;
             degree[b.index()] += 1;
         }
-        let mut offsets = Vec::with_capacity(users + 1);
-        let mut total = 0u64;
-        offsets.push(0);
-        for &d in &degree {
-            total += d;
-            offsets.push(total);
-        }
-        let mut flat = vec![UserId(0); total as usize];
+        let offsets = prefix_sum(&degree);
+        let mut flat = vec![UserId(0); offsets[users] as usize];
         let mut cursor: Vec<u64> = offsets[..users].to_vec();
         for &(a, b) in edges {
             if a == b {
@@ -177,27 +222,7 @@ impl FriendGraph {
             flat[cursor[b.index()] as usize] = a;
             cursor[b.index()] += 1;
         }
-        // Sort each row, then compact duplicates in place. The write
-        // cursor never passes the read cursor, so this is safe.
-        let mut write = 0usize;
-        let mut compacted = Vec::with_capacity(users + 1);
-        compacted.push(0u64);
-        for u in 0..users {
-            let (start, end) = (offsets[u] as usize, offsets[u + 1] as usize);
-            flat[start..end].sort_unstable();
-            let mut prev = None;
-            for read in start..end {
-                let v = flat[read];
-                if prev != Some(v) {
-                    flat[write] = v;
-                    write += 1;
-                    prev = Some(v);
-                }
-            }
-            compacted.push(write as u64);
-        }
-        flat.truncate(write);
-        FriendGraph { repr: Repr::Sealed(Sealed::new(Csr { offsets: compacted, edges: flat })) }
+        FriendGraph { repr: Repr::Sealed(Sealed::new(Csr::sort_rows(&offsets, flat))) }
     }
 
     /// Mutable Building-layout view, thawing a sealed graph first.
@@ -382,6 +407,18 @@ impl<'de> Deserialize<'de> for FriendGraph {
     }
 }
 
+/// Row offsets from per-row counts: `0` followed by their running sum.
+fn prefix_sum(counts: &[u64]) -> Vec<u64> {
+    let mut offsets = Vec::with_capacity(counts.len() + 1);
+    let mut total = 0u64;
+    offsets.push(0);
+    for &d in counts {
+        total += d;
+        offsets.push(total);
+    }
+    offsets
+}
+
 /// Length of the intersection of two sorted, deduplicated slices.
 pub fn sorted_intersection_len(a: &[UserId], b: &[UserId]) -> usize {
     let (mut i, mut j, mut n) = (0, 0, 0);
@@ -413,66 +450,84 @@ pub fn jaccard_index(a: &[UserId], b: &[UserId]) -> f64 {
 
 /// Asymmetric circle membership, Google+-style: `a` may have `b` in her
 /// circles without `b` reciprocating (paper Appendix A).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+///
+/// Two CSR tables, `out` (whom each user has in her circles) and `inc`
+/// (who has each user in theirs), built in one bulk pass by
+/// [`Circles::from_pairs`]; no live-world event edits them. The serde
+/// form is `{"inc": [[...]], "out": [[...]]}`, one sorted list per user.
+#[derive(Debug, Default, PartialEq)]
 pub struct Circles {
-    /// `out[a]` = users that `a` has in her circles (sorted).
-    out: Vec<Vec<UserId>>,
-    /// `inc[b]` = users that have `b` in their circles (sorted).
-    inc: Vec<Vec<UserId>>,
+    out: Csr,
+    inc: Csr,
 }
 
 impl Circles {
-    pub fn with_capacity(users: usize) -> Self {
-        Circles { out: vec![Vec::new(); users], inc: vec![Vec::new(); users] }
+    /// Circles over at least `users` users (more if a pair names a
+    /// higher id) from `(a, b)` pairs, "`a` has `b` in her circles":
+    /// each list sorted, repeats collapsed, self-links dropped.
+    pub fn from_pairs(users: usize, pairs: impl Iterator<Item = (UserId, UserId)> + Clone) -> Self {
+        let users = pairs
+            .clone()
+            .filter(|(a, b)| a != b)
+            .fold(users, |n, (a, b)| n.max(a.index().max(b.index()) + 1));
+        let out = Csr::from_pairs(users, pairs.clone());
+        let inc = Csr::from_pairs(users, pairs.map(|(a, b)| (b, a)));
+        Circles { out, inc }
     }
 
-    pub fn ensure_users(&mut self, users: usize) {
-        if self.out.len() < users {
-            self.out.resize(users, Vec::new());
-            self.inc.resize(users, Vec::new());
-        }
-    }
-
-    /// `a` adds `b` to her circles. Idempotent; self-links ignored.
-    pub fn add(&mut self, a: UserId, b: UserId) -> bool {
-        if a == b {
-            return false;
-        }
-        self.ensure_users(a.index().max(b.index()) + 1);
-        let inserted = FriendGraph::insert_sorted(&mut self.out[a.index()], b);
-        if inserted {
-            FriendGraph::insert_sorted(&mut self.inc[b.index()], a);
-        }
-        inserted
+    /// Number of users with a (possibly empty) list in each direction.
+    pub(crate) fn len(&self) -> usize {
+        self.out.users()
     }
 
     /// Users in `u`'s circles.
     pub fn in_circles_of(&self, u: UserId) -> &[UserId] {
-        self.out.get(u.index()).map(Vec::as_slice).unwrap_or(&[])
+        self.out.list(u.index())
     }
 
     /// Users who have `u` in their circles.
     pub fn have_in_circles(&self, u: UserId) -> &[UserId] {
-        self.inc.get(u.index()).map(Vec::as_slice).unwrap_or(&[])
+        self.inc.list(u.index())
     }
+}
 
-    /// The raw `(inc, out)` list tables, for the streaming fingerprint
-    /// in `Network::fingerprint`.
-    pub(crate) fn fingerprint_parts(&self) -> (&[Vec<UserId>], &[Vec<UserId>]) {
-        (&self.inc, &self.out)
+impl Serialize for Circles {
+    fn to_json_value(&self) -> Value {
+        let lists = |csr: &Csr| {
+            let rows = (0..csr.users()).map(|u| csr.list(u));
+            Value::Array(
+                rows.map(|l| Value::Array(l.iter().map(|u| u.to_json_value()).collect())).collect(),
+            )
+        };
+        let mut m = serde::value::Map::new();
+        m.insert("inc".to_string(), lists(&self.inc));
+        m.insert("out".to_string(), lists(&self.out));
+        Value::Object(m)
     }
+}
 
-    /// Derive symmetric-looking circles from a friendship graph: both
-    /// directions are populated, mirroring users who "circled back".
-    pub fn from_friend_graph(g: &FriendGraph) -> Self {
-        let mut c = Circles::with_capacity(g.len());
-        for i in 0..g.len() {
-            let u = UserId::from_index(i);
-            for &v in g.friends(u) {
-                c.add(u, v);
-            }
+// Built from `out` alone; `inc` must be its transpose.
+impl<'de> Deserialize<'de> for Circles {
+    fn from_json_value(v: &Value) -> Result<Self, String> {
+        let lists = |name: &str| {
+            let field = v.get(name).ok_or_else(|| format!("missing field `{name}`"))?;
+            Vec::<Vec<UserId>>::from_json_value(field)
+        };
+        let (out, inc) = (lists("out")?, lists("inc")?);
+        let pairs = out
+            .iter()
+            .enumerate()
+            .flat_map(|(a, row)| row.iter().map(move |&b| (UserId::from_index(a), b)));
+        let circles = Circles::from_pairs(out.len(), pairs);
+        let transposed = circles.len() == inc.len()
+            && inc
+                .iter()
+                .enumerate()
+                .all(|(b, row)| circles.have_in_circles(UserId::from_index(b)) == row);
+        if !transposed {
+            return Err("circles: `inc` is not the transpose of `out`".to_string());
         }
-        c
+        Ok(circles)
     }
 }
 
@@ -596,23 +651,28 @@ mod tests {
     }
 
     #[test]
+    fn circles_round_trip_through_json() {
+        let pairs = [(3u64, 1), (1, 3), (3, 0), (3, 1), (2, 2), (0, 3)];
+        let c = Circles::from_pairs(6, pairs.iter().map(|&(a, b)| (u(a), u(b))));
+        assert_eq!(
+            (c.len(), c.in_circles_of(u(3)), c.have_in_circles(u(3))),
+            (6, &[u(0), u(1)][..], &[u(0), u(1)][..])
+        );
+        let json = serde_json::to_string(&c).unwrap();
+        assert_eq!(json, r#"{"inc":[[3],[3],[],[0,1],[],[]],"out":[[3],[3],[],[0,1],[],[]]}"#);
+        let back: Circles = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, c);
+        let bad = r#"{"inc":[[],[]],"out":[[1],[]]}"#;
+        assert!(serde_json::from_str::<Circles>(bad).is_err(), "inc must be the transpose of out");
+    }
+
+    #[test]
     fn circles_are_asymmetric() {
-        let mut c = Circles::default();
-        assert!(c.add(u(1), u(2)));
+        let c = Circles::from_pairs(0, [(u(1), u(2))].into_iter());
         assert_eq!(c.in_circles_of(u(1)), &[u(2)]);
         assert_eq!(c.have_in_circles(u(2)), &[u(1)]);
         // The reverse direction was NOT created.
         assert_eq!(c.in_circles_of(u(2)), &[] as &[UserId]);
         assert_eq!(c.have_in_circles(u(1)), &[] as &[UserId]);
-    }
-
-    #[test]
-    fn circles_from_friend_graph_mirror_both_ways() {
-        let mut g = FriendGraph::default();
-        g.add_friendship(u(0), u(1));
-        let c = Circles::from_friend_graph(&g);
-        assert_eq!(c.in_circles_of(u(0)), &[u(1)]);
-        assert_eq!(c.in_circles_of(u(1)), &[u(0)]);
-        assert_eq!(c.have_in_circles(u(0)), &[u(1)]);
     }
 }

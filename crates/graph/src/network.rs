@@ -44,7 +44,8 @@ use std::sync::Arc;
 /// fixed-size shared chunks, the sealed adjacency and the per-school
 /// listers are shared, and the parts no live-world event touches
 /// (schools, cities, households, circles, interactions) sit behind one
-/// `Arc` each that only their `*_mut` accessors unshare. A clone costs
+/// `Arc` each that only their `*_mut` accessors unshare (circles have
+/// none: [`Network::set_circles`] replaces them whole). A clone costs
 /// a reference count per chunk plus the patched friend lists; an edit
 /// then copies only the chunks and lists it lands in.
 #[derive(Clone, Debug)]
@@ -444,10 +445,10 @@ impl Network {
         s.raw("{\"calendar\":");
         s.value(&self.calendar.to_json_value());
         s.raw(",\"circles\":{\"inc\":");
-        let (inc, out) = self.circles.fingerprint_parts();
-        s.uid_lists(inc.iter().map(Vec::as_slice), inc.len());
+        let (circles, n) = (&*self.circles, self.circles.len());
+        s.uid_lists((0..n).map(|i| circles.have_in_circles(UserId::from_index(i))), n);
         s.raw(",\"out\":");
-        s.uid_lists(out.iter().map(Vec::as_slice), out.len());
+        s.uid_lists((0..n).map(|i| circles.in_circles_of(UserId::from_index(i))), n);
         s.raw("},\"cities\":");
         s.value(&self.cities.to_json_value());
         s.raw(",\"friends\":{\"adj\":");
@@ -528,8 +529,9 @@ impl Network {
         &self.circles
     }
 
-    pub fn circles_mut(&mut self) -> &mut Circles {
-        Arc::make_mut(&mut self.circles)
+    /// Install the circles, built whole by [`Circles::from_pairs`].
+    pub fn set_circles(&mut self, circles: Circles) {
+        self.circles = Arc::new(circles);
     }
 
     /// Pairwise interactions (wall-post counts between friends).
@@ -910,7 +912,7 @@ mod tests {
         net.add_friendship(s1, s2);
         net.add_friendship(s1, al);
         net.add_friendship(pa, s1);
-        net.circles_mut().add(s2, al);
+        net.set_circles(Circles::from_pairs(net.user_count(), [(s2, al)].into_iter()));
         net.interactions_mut().bulk_insert([(s1, s2, 4), (s1, al, 1)]);
         let h = net.households_mut().add("12 Oak St".into(), CityId(0), vec![pa]);
         net.households_mut().join(h, s1);

@@ -1,7 +1,6 @@
 //! A minimal DOM tree shared by the HTML builder and parser.
 
 use crate::escape::{escape_attr_into, escape_text_into};
-use std::fmt;
 
 /// Elements that never have children or a closing tag.
 pub const VOID_ELEMENTS: &[&str] = &[
@@ -165,12 +164,6 @@ impl Element {
         out.push_str("</");
         out.push_str(&self.tag);
         out.push('>');
-    }
-}
-
-impl fmt::Display for Element {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
     }
 }
 

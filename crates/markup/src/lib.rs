@@ -6,16 +6,20 @@
 //! of each Web page \[and\] extract relevant data" (§3.2). This crate
 //! provides:
 //!
-//! - [`dom`]: an element tree with a builder API and escaped rendering
-//!   (the platform's renderer);
+//! - [`dom`]: an element tree with a builder API and escaped rendering;
 //! - [`parser`]: a tolerant HTML parser that never panics on bad input;
 //! - [`mod@select`]: a tiny CSS-selector subset;
 //! - [`escape`]: entity escaping/decoding.
 //!
-//! The crawler scrapes with a single-pass scanner of its own that lexes
-//! as [`parser`] does and decodes with [`unescape`]. The parser and the
-//! selectors are the reference its differential test compares against,
-//! and the platform's tests read rendered pages with them.
+//! Neither side builds a tree at run time. The platform writes each page
+//! straight into one buffer with [`escape::escape_text_into`] and
+//! [`escape::escape_attr_into`]; the crawler scrapes with a single-pass
+//! scanner of its own that lexes as [`parser`] does and decodes with
+//! [`unescape`]. The trees are their test oracles: the builder is the
+//! renderer the platform's differential test compares its writer
+//! against, and the parser and selectors are the scraper the crawler's
+//! differential test compares its scanner against. The platform's tests
+//! also read rendered pages with them.
 
 pub mod dom;
 pub mod escape;

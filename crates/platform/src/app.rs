@@ -541,11 +541,9 @@ impl Platform {
         let net = &w.network;
         let (ids, has_more) =
             w.search.page(net, self.policy.as_ref(), &self.config, school, account, page);
-        let entries: Vec<(UserId, String)> =
-            ids.into_iter().map(|u| (u, net.user(u).profile.full_name())).collect();
         let next = has_more.then(|| format!("/find-friends?school={school}&page={}", page + 1));
         let stamp = self.stamp(w.generation as u64);
-        Response::html(render::listing_page_inner("results", &entries, next, stamp))
+        Response::html(render::listing_page_inner("results", &ids, net, next, stamp))
     }
 
     fn handle_graph_search(&self, req: &Request) -> Response {
@@ -572,10 +570,8 @@ impl Platform {
             current_only,
             city,
         );
-        let entries: Vec<(UserId, String)> =
-            ids.into_iter().map(|u| (u, net.user(u).profile.full_name())).collect();
         let stamp = self.stamp(w.generation as u64);
-        Response::html(render::listing_page_inner("results", &entries, None, stamp))
+        Response::html(render::listing_page_inner("results", &ids, net, None, stamp))
     }
 
     fn handle_profile(&self, req: &Request, uid: Option<&str>) -> Response {
@@ -620,11 +616,15 @@ impl Platform {
         let start = page.saturating_mul(per).min(friends.len());
         let end = (start + per).min(friends.len());
         let has_more = end < friends.len();
-        let entries: Vec<(UserId, String)> =
-            friends[start..end].iter().map(|&u| (u, net.user(u).profile.full_name())).collect();
         let next = has_more.then(|| format!("/friends/{uid}?page={}", page + 1));
         let stamp = self.stamp(w.user_generation(uid));
-        Response::html(render::listing_page_inner("friends", &entries, next, stamp))
+        Response::html(render::listing_page_inner(
+            "friends",
+            &friends[start..end],
+            net,
+            next,
+            stamp,
+        ))
     }
 
     /// Google+ circles pages: `?dir=in` ("in your circles", outgoing) or
@@ -656,12 +656,10 @@ impl Platform {
         let start = page.saturating_mul(per).min(list.len());
         let end = (start + per).min(list.len());
         let has_more = end < list.len();
-        let entries: Vec<(UserId, String)> =
-            list[start..end].iter().map(|&u| (u, net.user(u).profile.full_name())).collect();
         let dir = if incoming { "has" } else { "in" };
         let next = has_more.then(|| format!("/circles/{uid}?dir={dir}&page={}", page + 1));
         let stamp = self.stamp(w.user_generation(uid));
-        Response::html(render::listing_page_inner("circles", &entries, next, stamp))
+        Response::html(render::listing_page_inner("circles", &list[start..end], net, next, stamp))
     }
 
     fn handle_message(&self, req: &Request, uid: Option<&str>) -> Response {

@@ -3,22 +3,49 @@
 //! Class/id names and `data-` attributes are the stable scraping
 //! contract with `hsp-crawler` (which, like the paper's parser, extracts
 //! fields from the HTML source).
+//!
+//! Each page is written straight into one `String`: the doctype, then
+//! every tag with its attributes in a fixed order, text escaped with
+//! [`escape_text_into`] and attribute values with [`escape_attr_into`].
+//! Ids, counts, dates and enum names go in unescaped, since none of them
+//! can hold a character either escaper rewrites. The bytes are exactly
+//! those of the same page built as an `hsp_markup` tree and serialised:
+//! that renderer is kept as the test oracle in `tests/oracle/`, and
+//! `tests/render_differential.rs` holds the two to identical output.
 
 use hsp_graph::{EducationKind, Network, UserId};
-use hsp_markup::{el, text_el, Element};
+use hsp_markup::escape::{escape_attr_into, escape_text_into};
 use hsp_policy::PublicView;
+use std::fmt::Write;
 
-/// Wrap body content in a page skeleton.
-pub fn page(title: &str, body_children: Vec<Element>) -> String {
-    let mut body = el("body");
-    body.children.extend(body_children.into_iter().map(hsp_markup::Node::Element));
-    let doc = el("html").child(el("head").child(text_el("title", title))).child(body);
-    // One exact-size allocation for the whole page instead of the
-    // doubling growth of `format!` + a cold render buffer.
-    let mut out = String::with_capacity("<!DOCTYPE html>".len() + doc.rendered_len_hint());
-    out.push_str("<!DOCTYPE html>");
-    doc.render_into(&mut out);
+/// Start a page: the doctype, a head holding `title`, and an open
+/// `<body>` that [`close_page`] ends.
+fn open_page(title: &str, capacity: usize) -> String {
+    let mut out = String::with_capacity(capacity);
+    out.push_str("<!DOCTYPE html><html><head><title>");
+    escape_text_into(title, &mut out);
+    out.push_str("</title></head><body>");
     out
+}
+
+fn close_page(mut out: String) -> String {
+    out.push_str("</body></html>");
+    out
+}
+
+/// Escape `pieces` back to back as one text run. Escaping is per
+/// character, so this equals escaping their concatenation.
+fn text<'a>(out: &mut String, pieces: impl IntoIterator<Item = &'a str>) {
+    for piece in pieces {
+        escape_text_into(piece, out);
+    }
+}
+
+/// `u`'s display name as the pieces `ProfileContent::full_name` joins,
+/// written from the two interned symbols without building the `String`.
+fn full_name(net: &Network, u: UserId) -> [&'static str; 3] {
+    let p = &net.user(u).profile;
+    [p.first_name.as_str(), " ", p.last_name.as_str()]
 }
 
 /// Render a stranger's view of a profile page.
@@ -36,132 +63,106 @@ pub fn profile_page_stamped(net: &Network, view: &PublicView, gen: u64) -> Strin
 
 /// [`profile_page`] when `gen` is `None`, else [`profile_page_stamped`].
 pub(crate) fn profile_page_inner(net: &Network, view: &PublicView, gen: Option<u64>) -> String {
-    let mut root = el("div").id("profile").attr("data-uid", view.user.to_string());
+    let uid = view.user;
+    let rows = view.networks.len() + view.education.len() + view.wall_posters.len();
+    let mut out = open_page(&view.name, 1024 + 128 * rows);
+    let _ = write!(out, "<div id=\"profile\" data-uid=\"{uid}\"");
     if let Some(g) = gen {
-        root = root.attr("data-gen", g.to_string());
+        let _ = write!(out, " data-gen=\"{g}\"");
     }
-    root = root.child(text_el("h1", view.name.clone()).class("name"));
+    out.push_str("><h1 class=\"name\">");
+    escape_text_into(&view.name, &mut out);
+    out.push_str("</h1>");
     if view.has_profile_photo {
-        root = root
-            .child(el("img").class("profile-photo").attr("src", format!("/photo/{}", view.user)));
+        let _ = write!(out, "<img class=\"profile-photo\" src=\"/photo/{uid}\">");
     }
     if let Some(g) = view.gender {
-        root = root.child(text_el("span", g.to_string()).class("gender"));
+        let _ = write!(out, "<span class=\"gender\">{g}</span>");
     }
     if !view.networks.is_empty() {
-        let mut ul = el("ul").class("networks");
-        for n in &view.networks {
-            ul = ul.child(
-                text_el("li", net.school(*n).name)
-                    .class("network")
-                    .attr("data-school", n.to_string()),
-            );
+        out.push_str("<ul class=\"networks\">");
+        for &n in &view.networks {
+            let _ = write!(out, "<li class=\"network\" data-school=\"{n}\">");
+            escape_text_into(net.school(n).name.as_str(), &mut out);
+            out.push_str("</li>");
         }
-        root = root.child(ul);
+        out.push_str("</ul>");
     }
     if !view.education.is_empty() {
-        let mut ul = el("ul").class("education");
+        out.push_str("<ul class=\"education\">");
         for e in &view.education {
             let kind = match e.kind {
                 EducationKind::HighSchool => "highschool",
                 EducationKind::College => "college",
                 EducationKind::GraduateSchool => "gradschool",
             };
-            let label = match e.grad_year {
-                Some(y) => format!("{}, Class of {}", net.school(e.school).name, y),
-                None => net.school(e.school).name.to_string(),
-            };
-            let mut li = text_el("li", label)
-                .class("edu")
-                .attr("data-kind", kind)
-                .attr("data-school", e.school.to_string());
+            let school = e.school;
+            let _ = write!(out, "<li class=\"edu\" data-kind=\"{kind}\" data-school=\"{school}\"");
             if let Some(y) = e.grad_year {
-                li = li.attr("data-year", y.to_string());
+                let _ = write!(out, " data-year=\"{y}\"");
             }
-            ul = ul.child(li);
+            out.push('>');
+            escape_text_into(net.school(school).name.as_str(), &mut out);
+            if let Some(y) = e.grad_year {
+                let _ = write!(out, ", Class of {y}");
+            }
+            out.push_str("</li>");
         }
-        root = root.child(ul);
+        out.push_str("</ul>");
     }
-    if let Some(c) = view.current_city {
-        let city = net.city(c);
-        root = root.child(
-            text_el("span", format!("{}, {}", city.name, city.state))
-                .class("current-city")
-                .attr("data-city", c.to_string()),
-        );
-    }
-    if let Some(c) = view.hometown {
-        let city = net.city(c);
-        root = root.child(
-            text_el("span", format!("{}, {}", city.name, city.state))
-                .class("hometown")
-                .attr("data-city", c.to_string()),
-        );
+    for (class, city) in [("current-city", view.current_city), ("hometown", view.hometown)] {
+        if let Some(c) = city {
+            let _ = write!(out, "<span class=\"{class}\" data-city=\"{c}\">");
+            let city = net.city(c);
+            text(&mut out, [city.name.as_str(), ", ", city.state.as_str()]);
+            out.push_str("</span>");
+        }
     }
     if let Some(r) = view.relationship {
-        root = root.child(text_el("span", format!("{r:?}")).class("relationship"));
+        let _ = write!(out, "<span class=\"relationship\">{r:?}</span>");
     }
     if let Some(i) = view.interested_in {
-        root = root.child(text_el("span", format!("{i:?}")).class("interested-in"));
+        let _ = write!(out, "<span class=\"interested-in\">{i:?}</span>");
     }
     if let Some(b) = view.birthday {
-        root = root.child(
-            text_el("span", b.to_string()).class("birthday").attr("data-date", b.to_string()),
-        );
+        let _ = write!(out, "<span class=\"birthday\" data-date=\"{b}\">{b}</span>");
     }
     if let Some(n) = view.photos_shared {
-        root = root.child(
-            text_el("span", format!("{n} photos"))
-                .class("photos-count")
-                .attr("data-count", n.to_string()),
-        );
+        let _ = write!(out, "<span class=\"photos-count\" data-count=\"{n}\">{n} photos</span>");
     }
     if let Some(n) = view.wall_posts {
-        root = root.child(
-            text_el("span", format!("{n} wall posts"))
-                .class("wall-count")
-                .attr("data-count", n.to_string()),
-        );
+        let _ = write!(out, "<span class=\"wall-count\" data-count=\"{n}\">{n} wall posts</span>");
     }
     if !view.wall_posters.is_empty() {
-        let mut ul = el("ul").class("wall");
+        out.push_str("<ul class=\"wall\">");
         for &author in &view.wall_posters {
-            ul = ul.child(
-                text_el("li", net.user(author).profile.full_name())
-                    .class("wall-post")
-                    .attr("data-author", author.to_string()),
-            );
+            let _ = write!(out, "<li class=\"wall-post\" data-author=\"{author}\">");
+            text(&mut out, full_name(net, author));
+            out.push_str("</li>");
         }
-        root = root.child(ul);
+        out.push_str("</ul>");
     }
     if let Some(contact) = &view.contact {
-        let mut div = el("div").class("contact");
-        if let Some(e) = &contact.email {
-            div = div.child(text_el("span", e.clone()).class("email"));
+        out.push_str("<div class=\"contact\">");
+        let fields =
+            [("email", &contact.email), ("phone", &contact.phone), ("address", &contact.address)];
+        for (class, value) in fields {
+            if let Some(v) = value {
+                let _ = write!(out, "<span class=\"{class}\">");
+                escape_text_into(v, &mut out);
+                out.push_str("</span>");
+            }
         }
-        if let Some(p) = &contact.phone {
-            div = div.child(text_el("span", p.clone()).class("phone"));
-        }
-        if let Some(a) = &contact.address {
-            div = div.child(text_el("span", a.clone()).class("address"));
-        }
-        root = root.child(div);
+        out.push_str("</div>");
     }
     if view.friend_list_visible {
-        root = root.child(
-            text_el("a", "Friends")
-                .class("friends-link")
-                .attr("href", format!("/friends/{}", view.user)),
-        );
+        let _ = write!(out, "<a class=\"friends-link\" href=\"/friends/{uid}\">Friends</a>");
     }
     if view.message_button {
-        root = root.child(
-            text_el("a", "Message")
-                .class("message-button")
-                .attr("href", format!("/message/{}", view.user)),
-        );
+        let _ = write!(out, "<a class=\"message-button\" href=\"/message/{uid}\">Message</a>");
     }
-    page(&view.name, vec![root])
+    out.push_str("</div>");
+    close_page(out)
 }
 
 /// One page of search results (or friends): a list of profile links
@@ -171,7 +172,8 @@ pub fn listing_page(
     entries: &[(UserId, String)],
     next_url: Option<String>,
 ) -> String {
-    listing_page_inner(list_id, entries, next_url, None)
+    let entries = entries.iter().map(|(uid, name)| (*uid, [name.as_str()]));
+    listing(list_id, entries, next_url.as_deref(), None)
 }
 
 /// Live-world variant of [`listing_page`] with a `data-gen` stamp on
@@ -183,35 +185,51 @@ pub fn listing_page_stamped(
     next_url: Option<String>,
     gen: u64,
 ) -> String {
-    listing_page_inner(list_id, entries, next_url, Some(gen))
+    let entries = entries.iter().map(|(uid, name)| (*uid, [name.as_str()]));
+    listing(list_id, entries, next_url.as_deref(), Some(gen))
 }
 
-/// [`listing_page`] when `gen` is `None`, else [`listing_page_stamped`].
+/// The listing page a handler serves: `ids` linked under their names,
+/// each read from `net`. Stamped when `gen` is `Some`.
 pub(crate) fn listing_page_inner(
     list_id: &str,
-    entries: &[(UserId, String)],
+    ids: &[UserId],
+    net: &Network,
     next_url: Option<String>,
     gen: Option<u64>,
 ) -> String {
-    let mut ul = el("ul").id(list_id);
+    let entries = ids.iter().map(|&uid| (uid, full_name(net, uid)));
+    listing(list_id, entries, next_url.as_deref(), gen)
+}
+
+/// Write a listing page whose entries give each name as pieces.
+fn listing<'a, N: IntoIterator<Item = &'a str>>(
+    list_id: &str,
+    entries: impl ExactSizeIterator<Item = (UserId, N)>,
+    next_url: Option<&str>,
+    gen: Option<u64>,
+) -> String {
+    let mut out = open_page(list_id, 256 + 2 * list_id.len() + 96 * entries.len());
+    out.push_str("<ul id=\"");
+    escape_attr_into(list_id, &mut out);
+    out.push('"');
     if let Some(g) = gen {
-        ul = ul.attr("data-gen", g.to_string());
+        let _ = write!(out, " data-gen=\"{g}\"");
     }
-    ul.children.reserve(entries.len());
+    out.push('>');
     for (uid, name) in entries {
-        ul = ul.child(
-            el("li").class("entry").child(
-                text_el("a", name.clone())
-                    .class("profile-link")
-                    .attr("href", format!("/profile/{uid}")),
-            ),
-        );
+        let _ =
+            write!(out, "<li class=\"entry\"><a class=\"profile-link\" href=\"/profile/{uid}\">");
+        text(&mut out, name);
+        out.push_str("</a></li>");
     }
-    let mut children = vec![ul];
+    out.push_str("</ul>");
     if let Some(next) = next_url {
-        children.push(text_el("a", "More").id("next-page").attr("href", next));
+        out.push_str("<a id=\"next-page\" href=\"");
+        escape_attr_into(next, &mut out);
+        out.push_str("\">More</a>");
     }
-    page(list_id, children)
+    close_page(out)
 }
 
 /// A deactivated or graduated-away account's profile page: the name
@@ -219,13 +237,13 @@ pub(crate) fn listing_page_inner(
 /// `data-tombstone` marker and nothing else. Served with 200 OK — a
 /// tombstone is an answer, not an error.
 pub fn tombstone_page(uid: UserId, gen: u64) -> String {
-    let root = el("div")
-        .id("profile")
-        .attr("data-uid", uid.to_string())
-        .attr("data-gen", gen.to_string())
-        .attr("data-tombstone", "1")
-        .child(text_el("h1", "Account unavailable").class("name"));
-    page("Account unavailable", vec![root])
+    let mut out = open_page("Account unavailable", 256);
+    let _ = write!(
+        out,
+        "<div id=\"profile\" data-uid=\"{uid}\" data-gen=\"{gen}\" data-tombstone=\"1\">\
+         <h1 class=\"name\">Account unavailable</h1></div>"
+    );
+    close_page(out)
 }
 
 #[cfg(test)]

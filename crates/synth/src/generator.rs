@@ -155,6 +155,17 @@ pub fn generate(cfg: &ScenarioConfig) -> Scenario {
 /// the chunk streams, not the thread schedule, carry all the
 /// randomness.
 pub fn generate_sharded(cfg: &ScenarioConfig, threads: usize) -> Scenario {
+    generate_with(cfg, threads, |_| {})
+}
+
+/// [`generate_sharded`], handing `circle_pairs` the circle pairs `(a, b)`
+/// ("`a` has `b` in her circles") in draw order before they are built
+/// into the circles' tables.
+fn generate_with(
+    cfg: &ScenarioConfig,
+    threads: usize,
+    circle_pairs: impl FnOnce(&mut dyn Iterator<Item = (UserId, UserId)>),
+) -> Scenario {
     let threads = threads.max(1);
     let seed = cfg.seed;
     let mut net = Network::with_capacity(cfg.today, cfg.expected_users());
@@ -595,37 +606,33 @@ pub fn generate_sharded(cfg: &ScenarioConfig, threads: usize) -> Scenario {
     // of the reciprocal directions (not everyone circles back), and add
     // one-way follows from students to older users they know of.
     {
+        // Each row holds only whom its user circles (row `i` is
+        // `all_users[i]`'s, or `students[i]`'s follows), at its final
+        // size: the rows are alive while the tables are built.
         let keep_rows = sharded(seed, phase::CIRCLES_KEEP, threads, all_users.len(), |rng, i| {
-            let u = all_users[i];
-            let mut out: Vec<(UserId, UserId)> = Vec::new();
-            for &v in net.friends(u) {
-                // Keep the u->v direction with high probability.
-                if rng.gen_bool(0.92) {
-                    out.push((u, v));
-                }
-            }
-            out
+            let friends = net.friends(all_users[i]);
+            let mut kept = Vec::with_capacity(friends.len());
+            // Keep the u->v direction with high probability.
+            kept.extend(friends.iter().copied().filter(|_| rng.gen_bool(0.92)));
+            kept
         });
         let follow_rows =
-            sharded(seed, phase::CIRCLES_FOLLOW, threads, students.len(), |rng, i| {
-                let s = students[i];
+            sharded(seed, phase::CIRCLES_FOLLOW, threads, students.len(), |rng, _| {
                 let follows = geometric_with_mean(rng, 6.0) as usize;
-                let mut out: Vec<(UserId, UserId)> = Vec::with_capacity(follows);
+                let mut out: Vec<UserId> = Vec::with_capacity(follows);
                 for _ in 0..follows {
                     let target = if rng.gen_bool(0.5) && !alumni.is_empty() {
                         alumni[rng.gen_range(0..alumni.len())].0
                     } else {
                         pool[rng.gen_range(0..pool.len())]
                     };
-                    out.push((s, target));
+                    out.push(target);
                 }
                 out
             });
-        let mut circles = hsp_graph::Circles::with_capacity(net.user_count());
-        for (u, v) in keep_rows.into_iter().flatten().chain(follow_rows.into_iter().flatten()) {
-            circles.add(u, v);
-        }
-        *net.circles_mut() = circles;
+        let pairs = owned_pairs(&keep_rows, &all_users).chain(owned_pairs(&follow_rows, &students));
+        circle_pairs(&mut pairs.clone());
+        net.set_circles(hsp_graph::Circles::from_pairs(net.user_count(), pairs));
     }
 
     // Freeze for attack-time reads: CSR adjacency, SoA columns and
@@ -634,6 +641,14 @@ pub fn generate_sharded(cfg: &ScenarioConfig, threads: usize) -> Scenario {
     net.seal();
 
     Scenario { config: cfg.clone(), school, other_school, home_city, other_city, network: net }
+}
+
+/// `(owners[i], b)` for every `b` in `rows[i]`.
+fn owned_pairs<'a>(
+    rows: &'a [Vec<UserId>],
+    owners: &'a [UserId],
+) -> impl Iterator<Item = (UserId, UserId)> + Clone + 'a {
+    rows.iter().zip(owners).flat_map(|(row, &a)| row.iter().map(move |&b| (a, b)))
 }
 
 /// Birth date for the class of `grad_year`: US cutoff, born between
@@ -690,6 +705,55 @@ mod tests {
         assert_eq!(one.network.fingerprint(), many.network.fingerprint());
         // And `generate` (auto thread count) lands on the same world.
         assert_eq!(generate(&cfg).network.fingerprint(), one.network.fingerprint());
+    }
+
+    #[test]
+    fn world_fingerprints_are_pinned() {
+        assert_eq!(generate(&ScenarioConfig::tiny()).network.fingerprint(), 0xc774_574d_8fa7_415d);
+        assert_eq!(generate(&ScenarioConfig::hs1()).network.fingerprint(), 0x2a75_6ba2_0090_2094);
+    }
+
+    /// The bulk-built circles equal circles grown pair by pair with the
+    /// insert rule they replaced: one sorted list per user and direction,
+    /// a pair inserted unless present, self-links ignored, and `b`'s
+    /// incoming list gaining `a` only when `a`'s outgoing list gained `b`.
+    #[test]
+    fn bulk_circles_equal_the_pair_by_pair_insert_rule() {
+        fn insert_sorted(list: &mut Vec<UserId>, v: UserId) -> bool {
+            match list.binary_search(&v) {
+                Ok(_) => false,
+                Err(at) => {
+                    list.insert(at, v);
+                    true
+                }
+            }
+        }
+        let (mut out, mut inc) = (Vec::<Vec<UserId>>::new(), Vec::<Vec<UserId>>::new());
+        let mut drawn = 0;
+        let s = generate_with(&ScenarioConfig::tiny(), 2, |pairs| {
+            for (a, b) in pairs {
+                drawn += 1;
+                if a == b {
+                    continue;
+                }
+                let users = a.index().max(b.index()) + 1;
+                if out.len() < users {
+                    out.resize(users, Vec::new());
+                    inc.resize(users, Vec::new());
+                }
+                if insert_sorted(&mut out[a.index()], b) {
+                    insert_sorted(&mut inc[b.index()], a);
+                }
+            }
+        });
+        let net = &s.network;
+        let circles = net.circles();
+        assert!(drawn > 10_000, "only {drawn} circle pairs drawn");
+        let empty = Vec::new();
+        for u in net.user_ids() {
+            assert_eq!(circles.in_circles_of(u), out.get(u.index()).unwrap_or(&empty), "out {u}");
+            assert_eq!(circles.have_in_circles(u), inc.get(u.index()).unwrap_or(&empty), "inc {u}");
+        }
     }
 
     #[test]
